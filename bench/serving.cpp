@@ -58,7 +58,6 @@
 #include "bench_util.hpp"
 #include "exec/backend_registry.hpp"
 #include "exec/scheduler.hpp"
-#include "exec/validate.hpp"
 #include "nn/batch_entry.hpp"
 #include "nn/bert_mini.hpp"
 #include "prune/tw_pruner.hpp"
@@ -97,19 +96,23 @@ void fill_percentiles(Measured& out, std::vector<double>& latencies_ms) {
   out.p99_ms = percentile_ms(latencies_ms, 0.99);
 }
 
-/// Serves `batch`-sized requests for ~secs and returns the rate plus
+/// Serves `batch`-sized requests for ~secs through the model's batch
+/// entry (embed + one graph run per request) and returns the rate plus
 /// the per-request latency distribution.
-Measured serve_closed_loop(BertMini& model, const TokenTeacherDataset& dataset,
-               std::size_t batch, double secs) {
+Measured serve_closed_loop(BertMini& model, BatchEntry& entry,
+                           ExecScheduler& scheduler,
+                           const TokenTeacherDataset& dataset,
+                           std::size_t batch, double secs) {
   Rng rng(4242);
   const TokenBatch request = dataset.sample(batch, rng);
-  model.forward(request);  // warm-up: graph build, panel packs, pool spin-up
+  // Warm-up: graph build, panel packs, pool spin-up.
+  (void)entry.run(scheduler, model.embed(request));
   std::vector<double> latencies_ms;
   Stopwatch sw;
   std::size_t served = 0;
   do {
     Stopwatch one;
-    (void)model.forward(request);
+    (void)entry.run(scheduler, model.embed(request));
     latencies_ms.push_back(one.seconds() * 1e3);
     ++served;
   } while (sw.seconds() < secs);
@@ -134,7 +137,7 @@ struct OverloadMeasured {
   std::uint64_t rejected = 0;
 };
 
-OverloadMeasured serve_overloaded(BertMini& model,
+OverloadMeasured serve_overloaded(BertMini& model, BatchEntry& entry,
                                   const TokenTeacherDataset& dataset,
                                   std::size_t batch, std::size_t streams,
                                   double closed_loop_ms, double secs) {
@@ -158,11 +161,8 @@ OverloadMeasured serve_overloaded(BertMini& model,
   while (sw.seconds() < secs) {
     serve::Request req;
     req.deadline = serve::Clock::now() + deadline_budget;
-    req.work = [&model, &request](serve::WorkerContext& ctx) {
-      model.set_exec_scheduler(&ctx.scheduler);
-      MatrixF logits = model.forward(request);
-      model.set_exec_scheduler(nullptr);
-      return logits;
+    req.work = [&model, &entry, &request](serve::WorkerContext& ctx) {
+      return entry.run(ctx.scheduler, model.embed(request));
     };
     handles.push_back(runtime.submit(std::move(req)));
     ++submitted;
@@ -311,9 +311,10 @@ void run_throughput(BertMini& model, const TokenTeacherDataset& dataset,
       options.streams = streams;
       options.reference_m = rows;
       ExecScheduler scheduler(options);
-      model.set_exec_scheduler(&scheduler);
-      const Measured measured = serve_closed_loop(model, dataset, batch, secs);
-      model.set_exec_scheduler(nullptr);
+      const std::unique_ptr<GraphBatchEntry> entry =
+          make_bert_entry("bert", model);
+      const Measured measured =
+          serve_closed_loop(model, *entry, scheduler, dataset, batch, secs);
       model.clear_packed_weights();
 
       if (streams == 1) baseline = measured.requests_per_sec;
@@ -366,8 +367,11 @@ void run_throughput(BertMini& model, const TokenTeacherDataset& dataset,
     ctx.threads =
         static_cast<int>(std::max<std::size_t>(1, budget / point.streams));
     pack_model(model, point.cfg.format, point.cfg.sparsity, rows, ctx);
-    const OverloadMeasured overload = serve_overloaded(
-        model, dataset, batch, point.streams, point.closed_loop_ms, secs);
+    const std::unique_ptr<GraphBatchEntry> entry =
+        make_bert_entry("bert", model);
+    const OverloadMeasured overload =
+        serve_overloaded(model, *entry, dataset, batch, point.streams,
+                         point.closed_loop_ms, secs);
     model.clear_packed_weights();
 
     std::printf("%-8s %-8zu %12.1f %8.3f %8.3f %8.3f %9llu %9llu\n",
@@ -939,11 +943,6 @@ int main(int argc, char** argv) {
   const TokenTeacherDataset dataset(64, config.seq, config.classes,
                                     config.dim, 77);
   BertMini model(config, dataset.embedding());
-
-  // Fail fast on a malformed execution plan: run the static verifier
-  // (exec/validate.hpp) once at startup, before any measurement —
-  // GraphValidationError prints every finding and aborts the bench.
-  validate_graph_or_throw(model.build_exec_graph());
 
   bench::BenchJson json;
   std::printf(

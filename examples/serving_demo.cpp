@@ -9,7 +9,7 @@
 //                deliberately CORRUPT artifact copy, and one request
 //                whose deadline has already passed — then verify every
 //                request reached exactly the terminal status it should:
-//                OK (bit-identical across streams), FAILED (corrupt
+//                OK (every OK metric bit-identical), FAILED (corrupt
 //                artifact surfaced as a request error, worker alive),
 //                TIMEOUT (deadline enforced without execution).
 //
@@ -129,20 +129,10 @@ int main() {
   serve::ServingRuntime runtime(options);
 
   // The evaluation request: load the artifact into the task's layers
-  // and evaluate through the worker's scheduler.  Idempotent, so safe
-  // to retry.
-  const auto evaluate_artifact = [&task,
-                                  &artifact](serve::WorkerContext& ctx) {
-    task->set_exec_scheduler(&ctx.scheduler);
-    double metric = -1.0;
-    try {
-      metric = evaluate_from_artifact(*task, artifact.path());
-    } catch (...) {
-      task->set_exec_scheduler(nullptr);
-      throw;
-    }
-    task->set_exec_scheduler(nullptr);
-    return metric_matrix(metric);
+  // and evaluate through the model's serving entry.  Idempotent, so
+  // safe to retry.
+  const auto evaluate_artifact = [&task, &artifact](serve::WorkerContext&) {
+    return metric_matrix(evaluate_from_artifact(*task, artifact.path()));
   };
 
   struct Submitted {

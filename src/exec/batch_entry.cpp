@@ -8,6 +8,10 @@
 
 namespace tilesparse {
 
+// Distinct-M graphs one entry keeps alive: serving batches of 1-4
+// sequences form four row counts, so every steady-state M stays cached.
+constexpr std::size_t kGraphCacheCapacity = 4;
+
 double BatchEntry::cost(std::size_t rows) const noexcept {
   const double m = macs(rows);
   const double b = static_cast<double>(weight_bytes());
@@ -24,7 +28,6 @@ GraphBatchEntry::GraphBatchEntry(Config config) : config_(std::move(config)) {
       config_.group_rows_out == 0) {
     throw std::invalid_argument("GraphBatchEntry: bad config shape");
   }
-  if (config_.graph_cache_capacity == 0) config_.graph_cache_capacity = 1;
 }
 
 GraphBatchEntry::CachedGraph& GraphBatchEntry::graph_for(std::size_t rows) {
@@ -41,7 +44,7 @@ GraphBatchEntry::CachedGraph& GraphBatchEntry::graph_for(std::size_t rows) {
   entry.graph->mark_input(entry.input);
   entry.output = config_.builder(*entry.graph, entry.input, rows);
   entry.graph->mark_output(entry.output);
-  if (graphs_.size() >= config_.graph_cache_capacity) graphs_.pop_back();
+  if (graphs_.size() >= kGraphCacheCapacity) graphs_.pop_back();
   graphs_.push_front(std::move(entry));
   return graphs_.front();
 }

@@ -90,7 +90,6 @@ class GraphBatchEntry : public BatchEntry {
     std::size_t group_rows_out = 1;
     double macs_per_row = 0;     ///< macs(rows) = macs_per_row * rows
     std::size_t weight_bytes = 0;
-    std::size_t graph_cache_capacity = 4;  ///< distinct Ms kept alive
     Builder builder;
   };
 

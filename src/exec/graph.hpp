@@ -3,8 +3,8 @@
 //
 // The exec API used to stop at the single-matmul level: every layer
 // call site invoked PackedWeight::matmul synchronously, so a model's
-// independent GEMMs (the four attention projections, an NMT model's
-// encoder/decoder input projections) could never overlap.  ExecGraph
+// independent GEMMs (an attention block's Q/K/V projections) could
+// never overlap.  ExecGraph
 // lifts the plan one level up, following the paper's Fig. 7-4
 // stream-assignment idea: a model builds a DAG of nodes once — each
 // node either a weight GEMM (a PackedWeight ref plus input/output

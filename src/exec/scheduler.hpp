@@ -3,9 +3,9 @@
 //
 // The scheduler is the paper's Fig. 7-4 stream assignment on CPU
 // workers: each "stream" is one pool worker looping over a shared
-// ready queue, so independent nodes (the four attention projections,
-// an NMT model's encoder/decoder input GEMMs) execute concurrently
-// while dependency edges hold everything else in dataflow order.
+// ready queue, so independent nodes (an attention block's Q/K/V
+// projections) execute concurrently while dependency edges hold
+// everything else in dataflow order.
 // Every node's arithmetic is unchanged — scheduling only reorders
 // *which* node runs when — so a scheduled run is bit-identical to the
 // single-stream reference (streams = 1), which executes the graph

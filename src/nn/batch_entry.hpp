@@ -11,11 +11,14 @@
 // through BertMini::append_exec_graph and kept in the entry's M-keyed
 // LRU.
 //
+// This is also how BERT tasks evaluate (nn/prune_experiment.hpp): the
+// accuracy a task reports comes from the same graphs serving runs.
+//
 // Lifetime: the model must outlive the entry, and the entry must be
 // re-created (re-registered) after pack_weights / clear_packed_weights
 // or artifact loads into the layers — its cached graphs hold refs to
-// the packed backends current at creation, exactly like the model's
-// own exec graph.
+// the packed backends current when each graph was built.  Nothing
+// tracks backend replacement; a fresh entry is the invalidation.
 
 #include <memory>
 #include <string>

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "exec/scheduler.hpp"
 #include "tensor/ops.hpp"
 
 namespace tilesparse {
@@ -50,18 +49,6 @@ MatrixF BertMini::forward(const TokenBatch& batch) {
   last_batch_ = batch.batch;
   MatrixF x = embed(batch);
 
-  graph_forward_ = scheduler_ != nullptr;
-  if (scheduler_) {
-    // Rebuild whenever any layer's backend was replaced since the graph
-    // was built (pack, clear, or an artifact load straight into the
-    // layers) — the nodes hold non-owning refs to those backends.
-    if (!graph_ || graph_versions_ != current_graph_versions())
-      build_exec_graph();
-    graph_->slot(graph_in_) = std::move(x);
-    scheduler_->run(*graph_);
-    return graph_->slot(graph_out_);
-  }
-
   for (Block& blk : blocks_) {
     blk.x_attn_in = x;
     MatrixF h = blk.ln1->forward(x);
@@ -82,13 +69,6 @@ MatrixF BertMini::forward(const TokenBatch& batch) {
 }
 
 void BertMini::backward(const MatrixF& dlogits) {
-  if (graph_forward_) {
-    // The graph path keeps activations in graph slots, not the layer
-    // caches backward needs; differentiating now would silently no-op.
-    throw std::logic_error(
-        "BertMini::backward: last forward ran through the exec graph "
-        "(inference-only); detach the scheduler before training");
-  }
   MatrixF dpooled = classifier_->backward(dlogits);
   MatrixF dx = pool_.backward(dpooled);
 
@@ -159,31 +139,10 @@ void BertMini::pack_weights(const std::string& format,
                             const std::vector<TilePattern>* patterns,
                             const ExecContext& ctx) {
   pack_linear_layers(prunable_layers(), format, patterns, ctx);
-  graph_.reset();  // nodes hold refs to the replaced backends
 }
 
 void BertMini::clear_packed_weights() {
   clear_packed_linear_layers(prunable_layers());
-  graph_.reset();
-}
-
-std::vector<std::uint64_t> BertMini::current_graph_versions() {
-  std::vector<std::uint64_t> versions;
-  for (Linear* layer : prunable_layers())
-    versions.push_back(layer->packed_version());
-  versions.push_back(classifier_->packed_version());
-  return versions;
-}
-
-ExecGraph& BertMini::build_exec_graph() {
-  graph_versions_ = current_graph_versions();
-  graph_ = std::make_unique<ExecGraph>();
-  ExecGraph& g = *graph_;
-  graph_in_ = g.add_slot("x");
-  g.mark_input(graph_in_);
-  graph_out_ = append_exec_graph(g, graph_in_);
-  g.mark_output(graph_out_);
-  return g;
 }
 
 ExecGraph::SlotId BertMini::append_exec_graph(ExecGraph& g,

@@ -15,8 +15,6 @@
 
 namespace tilesparse {
 
-class ExecScheduler;
-
 struct BertMiniConfig {
   std::size_t dim = 64;
   std::size_t heads = 4;
@@ -31,7 +29,10 @@ class BertMini {
  public:
   BertMini(const BertMiniConfig& config, const MatrixF& embedding_table);
 
-  /// Tokens: batch * seq ids.  Returns batch x classes logits.
+  /// Tokens: batch * seq ids.  Returns batch x classes logits.  The
+  /// training path: layer by layer, caching what backward() needs.
+  /// Inference runs the same layers as the graph append_exec_graph
+  /// builds.
   MatrixF forward(const TokenBatch& batch);
   /// Token + positional embedding only: (batch * seq) x dim activation
   /// rows — the batchable form a serving request carries (see
@@ -59,32 +60,18 @@ class BertMini {
   /// Back to dense master-weight execution.
   void clear_packed_weights();
 
-  /// Builds (or rebuilds) the model-level execution plan: one graph
-  /// covering every encoder block — Q/K/V as independent GEMM nodes,
-  /// host nodes for layernorm/softmax/residual glue, FFN and classifier
-  /// GEMMs — over the *current* execution backends (packed where
-  /// pack_weights installed one, plain forward otherwise).
-  /// pack_weights/clear_packed_weights invalidate the graph; call this
-  /// again after loading a new artifact into the layers directly.
-  ExecGraph& build_exec_graph();
-  ExecGraph* exec_graph() noexcept { return graph_.get(); }
-
   /// Appends the whole encoder stack (blocks, pool, classifier) to an
   /// externally owned graph, reading embedded rows from `input` and
-  /// returning the logits slot.  This is build_exec_graph()'s body,
-  /// reusable by batch entries that keep one graph per batch size; the
-  /// appended nodes hold refs to the current packed backends, so the
-  /// external graph must be discarded after pack_weights /
-  /// clear_packed_weights / artifact loads, exactly like graph_.
+  /// returning the logits slot — the model's one inference path:
+  /// Q/K/V as independent GEMM nodes, host nodes for layernorm,
+  /// softmax and residual glue, FFN and classifier GEMMs, over the
+  /// *current* execution backends (packed where installed, the plain
+  /// layer forward otherwise).  The appended nodes hold refs to those
+  /// backends, so the graph must be discarded after pack_weights /
+  /// clear_packed_weights / artifact loads.  make_bert_entry
+  /// (nn/batch_entry.hpp) wraps it for serving and evaluation.
   ExecGraph::SlotId append_exec_graph(ExecGraph& graph,
                                       ExecGraph::SlotId input);
-
-  /// Routes forward() through the execution graph dispatched by
-  /// `scheduler` (non-owning; null returns to the layer-by-layer
-  /// path).  The graph is built lazily on the next forward().
-  void set_exec_scheduler(ExecScheduler* scheduler) noexcept {
-    scheduler_ = scheduler;
-  }
 
   const BertMiniConfig& config() const noexcept { return config_; }
 
@@ -106,17 +93,6 @@ class BertMini {
   MeanPoolRows pool_;
   std::unique_ptr<Linear> classifier_;
   std::size_t last_batch_ = 0;
-  // Model-level execution plan (inference only).
-  std::unique_ptr<ExecGraph> graph_;
-  ExecGraph::SlotId graph_in_ = 0, graph_out_ = 0;
-  ExecScheduler* scheduler_ = nullptr;
-  bool graph_forward_ = false;  ///< last forward ran through the graph
-  /// packed_version() of every layer in the graph at build time; any
-  /// mismatch on forward (including artifact loads that bypass
-  /// pack_weights) means the graph holds dangling backend refs and
-  /// must be rebuilt.
-  std::vector<std::uint64_t> graph_versions_;
-  std::vector<std::uint64_t> current_graph_versions();
 };
 
 }  // namespace tilesparse

@@ -46,7 +46,6 @@ void Linear::set_packed_weight(std::unique_ptr<PackedWeight> packed) {
                                 " weight shape mismatch for " + weight_.name);
   }
   packed_ = std::move(packed);
-  ++packed_version_;
 }
 
 MatrixF Linear::forward(const MatrixF& x) {

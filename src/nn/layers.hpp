@@ -57,18 +57,8 @@ class Linear : public Layer {
   /// Adopts an externally built packed weight (shape must match).
   void set_packed_weight(std::unique_ptr<PackedWeight> packed);
   /// Returns to dense master-weight execution.
-  void clear_packed_weight() noexcept {
-    packed_.reset();
-    ++packed_version_;
-  }
+  void clear_packed_weight() noexcept { packed_.reset(); }
   const PackedWeight* packed_weight() const noexcept { return packed_.get(); }
-
-  /// Bumped whenever the execution backend is replaced (pack, clear,
-  /// artifact load).  Models key their cached ExecGraph on the versions
-  /// of every layer in it: a graph built against replaced backends
-  /// would hold dangling weight refs, so it must be rebuilt — no
-  /// matter which call path swapped the backend.
-  std::uint64_t packed_version() const noexcept { return packed_version_; }
 
   /// Numerics/threads for packed execution (alpha/beta are fixed by the
   /// layer semantics y = x W + b).
@@ -88,7 +78,6 @@ class Linear : public Layer {
   Param bias_;    ///< 1 x out
   MatrixF x_;     ///< cached input
   std::unique_ptr<PackedWeight> packed_;  ///< optional inference backend
-  std::uint64_t packed_version_ = 0;
   ExecContext ctx_;
 };
 

@@ -39,7 +39,6 @@ void Lstm::pack_weights(const std::string& format,
   }
   packed_wx_ = make_packed(format, wx_.value, wx_options);
   packed_wh_ = make_packed(format, wh_.value, wh_options);
-  ++packed_version_;
   ctx_ = ctx;
   ctx_.alpha = 1.0f;
   ctx_.beta = 0.0f;
@@ -48,35 +47,11 @@ void Lstm::pack_weights(const std::string& format,
 void Lstm::clear_packed_weights() noexcept {
   packed_wx_.reset();
   packed_wh_.reset();
-  ++packed_version_;
-}
-
-MatrixF Lstm::input_projection(const MatrixF& x) const {
-  // All input projections in one big GEMM: (B*S) x 4H.
-  return packed_wx_ ? packed_wx_->matmul(ctx_, x) : matmul(x, wx_.value);
-}
-
-ExecGraph::NodeId Lstm::add_input_projection_node(ExecGraph& graph,
-                                                  ExecGraph::SlotId in,
-                                                  ExecGraph::SlotId out) {
-  if (packed_wx_) {
-    return graph.add_gemm(wx_.name, packed_wx_.get(), in, out, ctx_);
-  }
-  return graph.add_host(wx_.name, {in}, {out}, [this, in, out](ExecGraph& g) {
-    g.slot(out) = input_projection(g.slot(in));
-  });
 }
 
 MatrixF Lstm::forward(const MatrixF& x, std::size_t seq, const MatrixF& h0,
                       const MatrixF& c0) {
-  return forward_with_projection(x, input_projection(x), seq, h0, c0);
-}
-
-MatrixF Lstm::forward_with_projection(const MatrixF& x, const MatrixF& xproj,
-                                      std::size_t seq, const MatrixF& h0,
-                                      const MatrixF& c0) {
   assert(seq > 0 && x.rows() % seq == 0 && x.cols() == input_);
-  assert(xproj.rows() == x.rows() && xproj.cols() == 4 * hidden_);
   batch_ = x.rows() / seq;
   seq_ = seq;
   x_ = x;
@@ -85,6 +60,10 @@ MatrixF Lstm::forward_with_projection(const MatrixF& x, const MatrixF& xproj,
   gates_.assign(seq, MatrixF{});
   cells_.assign(seq, MatrixF{});
   hiddens_.assign(seq, MatrixF{});
+
+  // All input projections in one big GEMM: (B*S) x 4H.
+  const MatrixF xproj =
+      packed_wx_ ? packed_wx_->matmul(ctx_, x) : matmul(x, wx_.value);
 
   MatrixF h_prev = h0_;
   MatrixF c_prev = c0_;

@@ -4,14 +4,12 @@
 // recurrent GEMM (H x 4H); both are prunable weight matrices.
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/backend_registry.hpp"
 #include "exec/exec_context.hpp"
-#include "exec/graph.hpp"
 #include "exec/packed_weight.hpp"
 #include "nn/param.hpp"
 #include "tensor/matrix.hpp"
@@ -29,26 +27,6 @@ class Lstm {
   /// empty (zero initial state) or batch x hidden.
   MatrixF forward(const MatrixF& x, std::size_t seq, const MatrixF& h0 = {},
                   const MatrixF& c0 = {});
-
-  /// The input GEMM on its own: (batch * seq) x 4H pre-activations
-  /// from Wx (packed backend when installed).  This is the half of the
-  /// LSTM with no sequential dependence, so an execution graph can
-  /// overlap it with other models' GEMMs (e.g. the NMT decoder's input
-  /// projection runs while the encoder recurrence is still unrolling).
-  MatrixF input_projection(const MatrixF& x) const;
-
-  /// The recurrent half: consumes a precomputed input projection and
-  /// unrolls the gates.  forward(x, ...) ==
-  /// forward_with_projection(x, input_projection(x), ...) exactly.
-  MatrixF forward_with_projection(const MatrixF& x, const MatrixF& xproj,
-                                  std::size_t seq, const MatrixF& h0 = {},
-                                  const MatrixF& c0 = {});
-
-  /// Adds the input projection as a graph node: a GEMM node over the
-  /// packed Wx when one is installed, a host node otherwise.
-  ExecGraph::NodeId add_input_projection_node(ExecGraph& graph,
-                                              ExecGraph::SlotId in,
-                                              ExecGraph::SlotId out);
 
   /// dh is the gradient of every hidden output.  Returns dx and fills
   /// optional gradients of the initial state.
@@ -72,10 +50,6 @@ class Lstm {
                     const ExecContext& ctx = {});
   void clear_packed_weights() noexcept;
 
-  /// Bumped whenever the packed backends are replaced; models key
-  /// their cached ExecGraph on it (see Linear::packed_version).
-  std::uint64_t packed_version() const noexcept { return packed_version_; }
-
   std::size_t hidden() const noexcept { return hidden_; }
 
  private:
@@ -85,7 +59,6 @@ class Lstm {
   Param bias_;  ///< 1 x 4H
   std::unique_ptr<PackedWeight> packed_wx_;  ///< optional inference backends
   std::unique_ptr<PackedWeight> packed_wh_;
-  std::uint64_t packed_version_ = 0;
   ExecContext ctx_;
 
   // Caches for backward.

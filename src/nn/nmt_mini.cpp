@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "exec/scheduler.hpp"
-
 namespace tilesparse {
 
 NmtMini::NmtMini(const NmtMiniConfig& config) : config_(config) {
@@ -38,15 +36,6 @@ MatrixF NmtMini::decoder_inputs(const std::vector<int>& tgt,
 MatrixF NmtMini::forward(const Seq2SeqBatch& batch) {
   assert(batch.seq == config_.seq);
   last_batch_ = batch.batch;
-  graph_forward_ = scheduler_ != nullptr;
-  if (scheduler_) {
-    if (!graph_ || graph_versions_ != current_graph_versions())
-      build_exec_graph();
-    graph_->slot(graph_src_) = src_embed_->forward(batch.src);
-    graph_->slot(graph_dec_in_) = decoder_inputs(batch.tgt, batch.batch);
-    scheduler_->run(*graph_);
-    return graph_->slot(graph_out_);
-  }
   const MatrixF src = src_embed_->forward(batch.src);
   encoder_->forward(src, config_.seq);
 
@@ -57,58 +46,7 @@ MatrixF NmtMini::forward(const Seq2SeqBatch& batch) {
   return out_proj_->forward(dec_h);
 }
 
-std::vector<std::uint64_t> NmtMini::current_graph_versions() {
-  return {encoder_->packed_version(), decoder_->packed_version(),
-          out_proj_->packed_version()};
-}
-
-ExecGraph& NmtMini::build_exec_graph() {
-  graph_versions_ = current_graph_versions();
-  graph_ = std::make_unique<ExecGraph>();
-  ExecGraph& g = *graph_;
-  graph_src_ = g.add_slot("src.embed");
-  graph_dec_in_ = g.add_slot("dec.in");
-  g.mark_input(graph_src_);
-  g.mark_input(graph_dec_in_);
-  const ExecGraph::SlotId enc_xproj = g.add_slot("enc.xproj");
-  const ExecGraph::SlotId dec_xproj = g.add_slot("dec.xproj");
-  const ExecGraph::SlotId dec_h = g.add_slot("dec.h");
-
-  // The two input projections have no dependency on each other: the
-  // encoder and decoder halves overlap across streams.
-  encoder_->add_input_projection_node(g, graph_src_, enc_xproj);
-  decoder_->add_input_projection_node(g, graph_dec_in_, dec_xproj);
-
-  const ExecGraph::NodeId enc_run = g.add_host(
-      "enc.recurrence", {graph_src_, enc_xproj}, {},
-      [this, enc_xproj](ExecGraph& gg) {
-        encoder_->forward_with_projection(gg.slot(graph_src_),
-                                          gg.slot(enc_xproj), config_.seq);
-      });
-  const ExecGraph::NodeId dec_run = g.add_host(
-      "dec.recurrence", {graph_dec_in_, dec_xproj}, {dec_h},
-      [this, dec_xproj, dec_h](ExecGraph& gg) {
-        gg.slot(dec_h) = decoder_->forward_with_projection(
-            gg.slot(graph_dec_in_), gg.slot(dec_xproj), config_.seq,
-            encoder_->final_h(), encoder_->final_c());
-      });
-  // The decoder reads encoder state that lives outside the slots.
-  g.add_dep(dec_run, enc_run);
-
-  graph_out_ = g.add_slot("logits");
-  out_proj_->add_to_graph(g, dec_h, graph_out_);
-  g.mark_output(graph_out_);
-  return g;
-}
-
 void NmtMini::backward(const MatrixF& dlogits) {
-  if (graph_forward_) {
-    // Graph-mode activations live in graph slots, not the layer caches
-    // backward differentiates; failing loudly beats silent no-op grads.
-    throw std::logic_error(
-        "NmtMini::backward: last forward ran through the exec graph "
-        "(inference-only); detach the scheduler before training");
-  }
   const MatrixF ddec_h = out_proj_->backward(dlogits);
   MatrixF dh0, dc0;
   MatrixF ddec_in = decoder_->backward(ddec_h, &dh0, &dc0);
@@ -198,14 +136,12 @@ void NmtMini::pack_weights(const std::string& format,
   if (patterns) proj_options.pattern = &(*patterns)[4];
   out_proj_->pack_weight(format, proj_options);
   out_proj_->set_exec_context(ctx);
-  graph_.reset();  // nodes hold refs to the replaced backends
 }
 
 void NmtMini::clear_packed_weights() {
   encoder_->clear_packed_weights();
   decoder_->clear_packed_weights();
   out_proj_->clear_packed_weight();
-  graph_.reset();
 }
 
 }  // namespace tilesparse

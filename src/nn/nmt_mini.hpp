@@ -13,8 +13,6 @@
 
 namespace tilesparse {
 
-class ExecScheduler;
-
 struct NmtMiniConfig {
   std::size_t vocab = 24;
   std::size_t embed_dim = 32;
@@ -47,24 +45,6 @@ class NmtMini {
                     const ExecContext& ctx = {});
   void clear_packed_weights();
 
-  /// Builds (or rebuilds) the teacher-forced execution plan.  The
-  /// encoder and decoder *input* projections are independent GEMM
-  /// nodes (the decoder consumes teacher-forced target embeddings, not
-  /// encoder output), so a scheduler overlaps the two model halves;
-  /// the recurrences are host nodes ordered by an explicit edge
-  /// (decoder state starts from the encoder's final state).
-  /// pack_weights/clear_packed_weights invalidate the graph.
-  ExecGraph& build_exec_graph();
-  ExecGraph* exec_graph() noexcept { return graph_.get(); }
-
-  /// Routes forward() through the graph dispatched by `scheduler`
-  /// (non-owning; null restores the layer-by-layer path).
-  /// greedy_decode() always runs the sequential path — its decoder
-  /// feeds back its own predictions, one token at a time.
-  void set_exec_scheduler(ExecScheduler* scheduler) noexcept {
-    scheduler_ = scheduler;
-  }
-
   const NmtMiniConfig& config() const noexcept { return config_; }
 
  private:
@@ -77,15 +57,6 @@ class NmtMini {
   std::unique_ptr<Lstm> decoder_;
   std::unique_ptr<Linear> out_proj_;
   std::size_t last_batch_ = 0;
-  // Teacher-forced execution plan (inference only).
-  std::unique_ptr<ExecGraph> graph_;
-  ExecGraph::SlotId graph_src_ = 0, graph_dec_in_ = 0, graph_out_ = 0;
-  ExecScheduler* scheduler_ = nullptr;
-  bool graph_forward_ = false;  ///< last forward ran through the graph
-  /// Backend versions at graph build time; a mismatch on forward means
-  /// the graph holds dangling refs and must be rebuilt (see BertMini).
-  std::vector<std::uint64_t> graph_versions_;
-  std::vector<std::uint64_t> current_graph_versions();
 };
 
 }  // namespace tilesparse

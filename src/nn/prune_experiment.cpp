@@ -5,7 +5,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/scheduler.hpp"
 #include "io/serialize.hpp"
+#include "nn/batch_entry.hpp"
 #include "nn/bert_mini.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -185,16 +187,13 @@ PruneResult prune_and_evaluate(PruneTask& task, const PatternSpec& spec,
 
 namespace {
 
-/// Detaches the task's scheduler and restores dense execution on every
-/// exit path — without this, a throwing evaluate would leave the task
-/// serving through a stale packed format or a dangling scheduler.
+/// Restores dense execution on every exit path — without this, a
+/// throwing evaluate would leave the task serving through a stale
+/// packed format.
 class PackedEvalScope {
  public:
   explicit PackedEvalScope(PruneTask& task) : task_(task) {}
-  ~PackedEvalScope() {
-    task_.set_exec_scheduler(nullptr);
-    task_.clear_packed_weights();
-  }
+  ~PackedEvalScope() { task_.clear_packed_weights(); }
   PackedEvalScope(const PackedEvalScope&) = delete;
   PackedEvalScope& operator=(const PackedEvalScope&) = delete;
 
@@ -212,22 +211,6 @@ double evaluate_with_format(PruneTask& task, const std::string& format,
                            "' has no packed execution path");
   }
   PackedEvalScope scope(task);
-  return task.evaluate();
-}
-
-double evaluate_with_format(PruneTask& task, const std::string& format,
-                            const std::vector<TilePattern>* patterns,
-                            const ExecContext& ctx,
-                            const SchedulerOptions& scheduler_options) {
-  // Declared before the scope so detach (scope dtor) precedes the
-  // scheduler's destruction.
-  ExecScheduler scheduler(scheduler_options);
-  if (!task.pack_weights(format, patterns, ctx)) {
-    throw std::logic_error("evaluate_with_format: task '" + task.name() +
-                           "' has no packed execution path");
-  }
-  PackedEvalScope scope(task);
-  task.set_exec_scheduler(&scheduler);
   return task.evaluate();
 }
 
@@ -260,24 +243,6 @@ double evaluate_from_artifact(PruneTask& task, const std::string& path,
   return task.evaluate();
 }
 
-double evaluate_from_artifact(PruneTask& task, const std::string& path,
-                              const ExecContext& ctx,
-                              const SchedulerOptions& scheduler_options,
-                              ArtifactLoad mode) {
-  const std::vector<Linear*> layers = task.packed_layers();
-  if (layers.empty()) {
-    throw std::logic_error("evaluate_from_artifact: task '" + task.name() +
-                           "' has no layer-level packed execution path");
-  }
-  ExecScheduler scheduler(scheduler_options);
-  PackedEvalScope scope(task);
-  // Load before attaching: the model builds its graph lazily on the
-  // next forward, over the backends the artifact just installed.
-  load_packed_linear_layers(path, layers, ctx, mode);
-  task.set_exec_scheduler(&scheduler);
-  return task.evaluate();
-}
-
 // =================================================================== tasks
 
 namespace {
@@ -301,11 +266,6 @@ class BertTaskBase : public PruneTask {
   std::vector<Linear*> packed_layers() override {
     return model_.prunable_layers();
   }
-  bool set_exec_scheduler(ExecScheduler* scheduler) override {
-    model_.set_exec_scheduler(scheduler);
-    return true;
-  }
-  ExecGraph* build_exec_graph() override { return &model_.build_exec_graph(); }
 
   void train_steps(int steps) override {
     SgdOptimizer opt(model_.params(), lr_, 0.9f);
@@ -322,8 +282,14 @@ class BertTaskBase : public PruneTask {
   double evaluate() override {
     Rng eval_rng(9999);
     const TokenBatch batch = sample_eval(512, eval_rng);
-    const MatrixF logits = model_.forward(batch);
-    return accuracy(logits, batch.y);
+    // A fresh entry per call: its graphs bind the backends installed
+    // now, so no graph outlives a pack, clear or artifact load.
+    const std::unique_ptr<GraphBatchEntry> entry =
+        make_bert_entry("eval", model_);
+    SchedulerOptions options;
+    options.streams = 1;
+    ExecScheduler scheduler(options);
+    return accuracy(entry->run(scheduler, model_.embed(batch)), batch.y);
   }
 
  protected:
@@ -410,11 +376,6 @@ class VggTask final : public PruneTask {
     return true;
   }
   void clear_packed_weights() override { model_.clear_packed_weights(); }
-  bool set_exec_scheduler(ExecScheduler* scheduler) override {
-    model_.set_exec_scheduler(scheduler);
-    return true;
-  }
-  ExecGraph* build_exec_graph() override { return &model_.build_exec_graph(); }
 
   void train_steps(int steps) override {
     SgdOptimizer opt(model_.params(), lr_, 0.9f);
@@ -461,13 +422,6 @@ class NmtTask final : public PruneTask {
     return true;
   }
   void clear_packed_weights() override { model_.clear_packed_weights(); }
-  bool set_exec_scheduler(ExecScheduler* scheduler) override {
-    // Attached for the teacher-forced forward(); greedy_decode (the
-    // BLEU metric path) stays sequential by construction.
-    model_.set_exec_scheduler(scheduler);
-    return true;
-  }
-  ExecGraph* build_exec_graph() override { return &model_.build_exec_graph(); }
 
   void train_steps(int steps) override {
     AdamOptimizer opt(model_.params(), lr_);

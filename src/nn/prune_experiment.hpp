@@ -16,7 +16,6 @@
 
 #include "core/tile_pattern.hpp"
 #include "exec/exec_context.hpp"
-#include "exec/scheduler.hpp"
 #include "nn/layers.hpp"
 #include "nn/param.hpp"
 
@@ -53,7 +52,9 @@ class PruneTask {
   /// Runs `steps` optimizer steps (masks bound to params stay enforced).
   virtual void train_steps(int steps) = 0;
   /// Metric on the held-out evaluation set: accuracy in [0,1], or BLEU
-  /// in [0,100] for the NMT task.
+  /// in [0,100] for the NMT task.  BERT tasks evaluate through the
+  /// model's serving entry (make_bert_entry) on a single-stream
+  /// scheduler, so the reported metric comes from the deployed path.
   virtual double evaluate() = 0;
 
   /// Packs the model's prunable weights for inference under a
@@ -76,21 +77,6 @@ class PruneTask {
   /// packed path (conv nets, LSTM gate weights) — such tasks cannot
   /// ship deployment artifacts yet.
   virtual std::vector<Linear*> packed_layers() { return {}; }
-
-  /// Attaches `scheduler` (non-owning; null detaches) so evaluate()
-  /// runs the model through its execution graph — independent layers
-  /// overlapping across streams — instead of layer-by-layer calls.
-  /// Returns false when the task's model has no graph path (it then
-  /// keeps evaluating synchronously).
-  virtual bool set_exec_scheduler(ExecScheduler* scheduler) {
-    (void)scheduler;
-    return false;
-  }
-
-  /// Builds and returns the model's execution graph over the currently
-  /// installed backends, for static verification (exec/validate.hpp)
-  /// at serving startup.  Null when the task has no graph path.
-  virtual ExecGraph* build_exec_graph() { return nullptr; }
 };
 
 /// Result of one prune-and-fine-tune run.
@@ -117,16 +103,6 @@ double evaluate_with_format(PruneTask& task, const std::string& format,
                             const std::vector<TilePattern>* patterns = nullptr,
                             const ExecContext& ctx = {});
 
-/// Graph-scheduled variant: packs, attaches an ExecScheduler built
-/// from `scheduler_options` so the model evaluates through its
-/// execution graph (stream overlap + wide-N sharding), then detaches
-/// and restores dense execution.  Tasks without a graph path evaluate
-/// synchronously — same metric, no overlap.
-double evaluate_with_format(PruneTask& task, const std::string& format,
-                            const std::vector<TilePattern>* patterns,
-                            const ExecContext& ctx,
-                            const SchedulerOptions& scheduler_options);
-
 /// Packs the task's prunable weights under `format` and writes them as
 /// ONE deployment artifact (io/serialize model-weights container) at
 /// `path`; the task is restored to dense execution before returning.
@@ -144,13 +120,6 @@ void export_packed_weights(PruneTask& task, const std::string& format,
 /// loading (nn/layers.hpp ArtifactLoad); results are bit-identical.
 double evaluate_from_artifact(PruneTask& task, const std::string& path,
                               const ExecContext& ctx = {},
-                              ArtifactLoad mode = ArtifactLoad::kStream);
-
-/// Graph-scheduled variant of evaluate_from_artifact: the loaded
-/// backends serve through the model's execution graph.
-double evaluate_from_artifact(PruneTask& task, const std::string& path,
-                              const ExecContext& ctx,
-                              const SchedulerOptions& scheduler_options,
                               ArtifactLoad mode = ArtifactLoad::kStream);
 
 // ----------------------------------------------------------------- tasks

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "exec/scheduler.hpp"
-
 namespace tilesparse {
 
 VggMini::VggMini(const VggMiniConfig& config) : config_(config) {
@@ -24,15 +22,6 @@ VggMini::VggMini(const VggMiniConfig& config) : config_(config) {
 }
 
 MatrixF VggMini::forward(const MatrixF& images) {
-  graph_forward_ = scheduler_ != nullptr;
-  if (scheduler_) {
-    if (!graph_ || graph_versions_ != current_graph_versions())
-      build_exec_graph();
-    graph_->slot(graph_in_) = images;
-    scheduler_->run(*graph_);
-    return graph_->slot(graph_out_);
-  }
-
   MatrixF x = conv1_->forward(images);
   x = relu1_->forward(x);
   x = pool1_->forward(x);
@@ -45,13 +34,6 @@ MatrixF VggMini::forward(const MatrixF& images) {
 }
 
 void VggMini::backward(const MatrixF& dlogits) {
-  if (graph_forward_) {
-    // Graph forward keeps activations in graph slots, not the layer
-    // caches backward needs; differentiating now would silently no-op.
-    throw std::logic_error(
-        "VggMini::backward: last forward ran through the exec graph "
-        "(inference-only); detach the scheduler before training");
-  }
   MatrixF d = fc2_->backward(dlogits);
   d = relu3_->backward(d);
   d = fc1_->backward(d);
@@ -98,49 +80,12 @@ void VggMini::pack_weights(const std::string& format,
   conv2_->set_exec_context(ctx);
   fc1_->pack_weight(format, options_for(2));
   fc1_->set_exec_context(ctx);
-  graph_.reset();  // fc1's graph node holds a ref to the replaced backend
 }
 
 void VggMini::clear_packed_weights() {
   conv1_->clear_packed_weight();
   conv2_->clear_packed_weight();
   fc1_->clear_packed_weight();
-  graph_.reset();
-}
-
-std::vector<std::uint64_t> VggMini::current_graph_versions() {
-  return {fc1_->packed_version(), fc2_->packed_version()};
-}
-
-ExecGraph& VggMini::build_exec_graph() {
-  graph_versions_ = current_graph_versions();
-  graph_ = std::make_unique<ExecGraph>();
-  ExecGraph& g = *graph_;
-  graph_in_ = g.add_slot("images");
-  g.mark_input(graph_in_);
-  // The conv trunk is one host node: each Conv3x3::forward already runs
-  // its im2col GEMM through the layer's packed backend when one is
-  // installed, so graph-level sharding is reserved for the FC GEMMs.
-  const ExecGraph::SlotId features = g.add_slot("features");
-  g.add_host("conv_trunk", {graph_in_}, {features},
-             [this, features](ExecGraph& gg) {
-               MatrixF x = conv1_->forward(gg.slot(graph_in_));
-               x = relu1_->forward(x);
-               x = pool1_->forward(x);
-               x = conv2_->forward(x);
-               x = relu2_->forward(x);
-               gg.slot(features) = pool2_->forward(x);
-             });
-  const ExecGraph::SlotId fc1_out = g.add_slot("fc1.out");
-  fc1_->add_to_graph(g, features, fc1_out);
-  const ExecGraph::SlotId fc1_act = g.add_slot("relu3.out");
-  g.add_host("relu3", {fc1_out}, {fc1_act}, [this, fc1_out, fc1_act](ExecGraph& gg) {
-    gg.slot(fc1_act) = relu3_->forward(gg.slot(fc1_out));
-  });
-  graph_out_ = g.add_slot("logits");
-  fc2_->add_to_graph(g, fc1_act, graph_out_);
-  g.mark_output(graph_out_);
-  return g;
 }
 
 }  // namespace tilesparse

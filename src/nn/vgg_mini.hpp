@@ -7,14 +7,11 @@
 #include <memory>
 #include <vector>
 
-#include "exec/graph.hpp"
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
 #include "workload/datasets.hpp"
 
 namespace tilesparse {
-
-class ExecScheduler;
 
 struct VggMiniConfig {
   std::size_t channels = 3;
@@ -38,28 +35,14 @@ class VggMini {
   std::vector<Param*> prunable_weights();  ///< conv im2col mats + FC weights
 
   /// Packs the prunable GEMMs — the two conv im2col matrices and fc1 —
-  /// for inference under a registered PackedWeight format, so the CNN
-  /// task serves through the unified exec API like the other models.
+  /// for inference under a registered PackedWeight format; forward()
+  /// then runs those GEMMs through the packed backends.
   /// `patterns` aligns 1:1 with prunable_weights(); may be null for
   /// pattern-free formats.
   void pack_weights(const std::string& format,
                     const std::vector<TilePattern>* patterns = nullptr,
                     const ExecContext& ctx = {});
   void clear_packed_weights();
-
-  /// Builds (or rebuilds) the model-level execution plan: the conv trunk
-  /// as one host node (its GEMMs run through each conv layer's own
-  /// packed backend), then fc1 -> ReLU -> fc2 as graph nodes, so the FC
-  /// GEMMs schedule/shard through the unified exec API.
-  ExecGraph& build_exec_graph();
-  ExecGraph* exec_graph() noexcept { return graph_.get(); }
-
-  /// Routes forward() through the execution graph dispatched by
-  /// `scheduler` (non-owning; null returns to the layer-by-layer path).
-  /// The graph is built lazily on the next forward().
-  void set_exec_scheduler(ExecScheduler* scheduler) noexcept {
-    scheduler_ = scheduler;
-  }
 
   const VggMiniConfig& config() const noexcept { return config_; }
 
@@ -74,16 +57,6 @@ class VggMini {
   std::unique_ptr<Linear> fc1_;
   std::unique_ptr<ReLU> relu3_;
   std::unique_ptr<Linear> fc2_;
-
-  std::unique_ptr<ExecGraph> graph_;
-  ExecGraph::SlotId graph_in_ = 0, graph_out_ = 0;
-  ExecScheduler* scheduler_ = nullptr;
-  bool graph_forward_ = false;  ///< last forward ran through the graph
-  /// packed_version() of the FC layers whose backends the graph refs;
-  /// a mismatch means a backend was replaced and the graph must be
-  /// rebuilt (the conv trunk runs through forward() and cannot dangle).
-  std::vector<std::uint64_t> graph_versions_;
-  std::vector<std::uint64_t> current_graph_versions();
 };
 
 }  // namespace tilesparse

@@ -1,7 +1,7 @@
 // ExecGraph + ExecScheduler: model-level execution plans must be pure
 // reorderings — a scheduled run (any stream count, with or without
 // wide-N sharding) is bit-identical to the single-stream reference and
-// to the old synchronous layer-by-layer path, for every weight format.
+// to the layer-by-layer training forward, for every weight format.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,9 @@
 #include "exec/backend_registry.hpp"
 #include "exec/graph.hpp"
 #include "exec/scheduler.hpp"
+#include "nn/batch_entry.hpp"
 #include "nn/bert_mini.hpp"
-#include "nn/nmt_mini.hpp"
+#include "nn/loss.hpp"
 #include "nn/prune_experiment.hpp"
 #include "prune/importance.hpp"
 #include "prune/tw_pruner.hpp"
@@ -271,6 +272,7 @@ TEST(ModelGraphTest, BertGraphForwardBitIdenticalToSyncAcrossFormats) {
   for (const std::string format : {"dense", "csr"}) {
     model.pack_weights(format);
     const MatrixF sync = model.forward(batch);
+    const auto entry = make_bert_entry("bert", model);
 
     for (const std::size_t streams : {1u, 4u}) {
       SchedulerOptions options;
@@ -278,9 +280,7 @@ TEST(ModelGraphTest, BertGraphForwardBitIdenticalToSyncAcrossFormats) {
       options.min_shard_cols = 16;
       options.dispatch_overhead_us = 0.0;
       ExecScheduler scheduler(options, &pool);
-      model.set_exec_scheduler(&scheduler);
-      const MatrixF scheduled = model.forward(batch);
-      model.set_exec_scheduler(nullptr);
+      const MatrixF scheduled = entry->run(scheduler, model.embed(batch));
       EXPECT_TRUE(bit_identical(scheduled, sync))
           << format << " graph forward diverged at streams=" << streams;
     }
@@ -293,74 +293,64 @@ TEST(ModelGraphTest, BertGraphExposesAttentionParallelism) {
   TokenTeacherDataset dataset(64, config.seq, config.classes, config.dim, 78);
   BertMini model(config, dataset.embedding());
   model.pack_weights("dense");
-  ExecGraph& graph = model.build_exec_graph();
+  ExecGraph graph;
+  const ExecGraph::SlotId input = graph.add_slot("x");
+  model.append_exec_graph(graph, input);
   // Q, K, V of one block are mutually independent GEMM nodes.
   EXPECT_GE(graph.max_gemm_width(), 3u);
   EXPECT_GT(graph.node_count(), 6u * config.layers);
 }
 
-TEST(ModelGraphTest, NmtGraphForwardBitIdenticalToSync) {
-  ReverseDataset dataset(NmtMiniConfig{}.vocab, NmtMiniConfig{}.seq, 80);
-  NmtMini model(NmtMiniConfig{});
-  Rng rng(7);
-  const Seq2SeqBatch batch = dataset.sample(16, rng);
-
-  model.pack_weights("dense");
-  const MatrixF sync = model.forward(batch);
-  ThreadPool pool(3);
-  SchedulerOptions options;
-  options.streams = 4;
-  ExecScheduler scheduler(options, &pool);
-  model.set_exec_scheduler(&scheduler);
-  const MatrixF scheduled = model.forward(batch);
-  model.set_exec_scheduler(nullptr);
-  model.clear_packed_weights();
-  EXPECT_TRUE(bit_identical(scheduled, sync));
-  // Encoder and decoder input projections are independent.
-  model.pack_weights("dense");
-  EXPECT_GE(model.build_exec_graph().max_gemm_width(), 2u);
-  model.clear_packed_weights();
-}
-
-TEST(ModelGraphTest, GraphRebuildsWhenBackendsAreReplacedBehindIt) {
-  // A graph built against one set of backends must NOT serve through
-  // them after they are replaced by a path that bypasses pack_weights
-  // (regression: an artifact load straight into the layers left the
-  // cached graph holding dangling PackedWeight refs).
-  const BertMiniConfig config;
-  TokenTeacherDataset dataset(64, config.seq, config.classes, config.dim, 79);
-  BertMini model(config, dataset.embedding());
-  Rng rng(5);
-  const TokenBatch batch = dataset.sample(8, rng);
-
-  SchedulerOptions options;
-  options.streams = 2;
-  ThreadPool pool(2);
-  ExecScheduler scheduler(options, &pool);
-  model.pack_weights("dense");
-  model.set_exec_scheduler(&scheduler);
-  (void)model.forward(batch);  // builds the graph over the current backends
-
-  // Replace every backend behind the model's back, as an artifact load
-  // does, then forward again: must re-bind, not use the freed weights.
-  for (Linear* layer : model.prunable_layers()) {
-    layer->set_packed_weight(make_packed("csr", layer->weight().value));
+/// A BertMini holding a BERT-MNLI proxy task's current parameters: the
+/// task's config, dataset (seed 77) and parameter order, so forward()
+/// here is the training-path reference for the task's evaluate().
+struct BertClsTaskMirror {
+  explicit BertClsTaskMirror(PruneTask& task) {
+    const std::vector<Param*> source = task.parameters();
+    const std::vector<Param*> target = model.params();
+    EXPECT_EQ(source.size(), target.size());
+    for (std::size_t i = 0; i < target.size(); ++i)
+      target[i]->value = source[i]->value;
   }
-  const MatrixF scheduled = model.forward(batch);
-  model.set_exec_scheduler(nullptr);
-  const MatrixF sync = model.forward(batch);
-  model.clear_packed_weights();
-  EXPECT_TRUE(bit_identical(scheduled, sync));
+  /// Accuracy of forward() on the task's evaluation batch.
+  double forward_accuracy() {
+    Rng eval_rng(9999);
+    const TokenBatch batch = dataset.sample(512, eval_rng);
+    return accuracy(model.forward(batch), batch.y);
+  }
+
+  BertMiniConfig config;
+  TokenTeacherDataset dataset{64, config.seq, config.classes, config.dim, 77};
+  BertMini model{config, dataset.embedding()};
+};
+
+TEST(ModelGraphTest, BertTaskEvaluateMatchesLayerByLayerForward) {
+  // evaluate() serves through make_bert_entry; with unpacked weights it
+  // must report exactly what the layer-by-layer forward() computes, so
+  // moving evaluation onto the serving path moved no number.
+  auto task = make_bert_cls_task(/*pretrain_steps=*/8);
+  BertClsTaskMirror mirror(*task);
+  EXPECT_EQ(task->evaluate(), mirror.forward_accuracy());
 }
 
-TEST(ModelGraphTest, EvaluateWithFormatThroughSchedulerMatchesSync) {
+TEST(ModelGraphTest, EvaluateServesBackendsReplacedBehindTheModel) {
+  // An artifact load installs backends straight into the layers,
+  // bypassing pack_weights.  evaluate() after such a replacement must
+  // serve the new backends, never graphs bound to the freed old ones.
   auto task = make_bert_cls_task(/*pretrain_steps=*/8);
-  const double sync = evaluate_with_format(*task, "dense");
-  SchedulerOptions options;
-  options.streams = 4;
-  const double scheduled =
-      evaluate_with_format(*task, "dense", nullptr, ExecContext{}, options);
-  EXPECT_DOUBLE_EQ(scheduled, sync);
+  BertClsTaskMirror mirror(*task);
+  ASSERT_TRUE(task->pack_weights("dense", nullptr, ExecContext{}));
+  (void)task->evaluate();  // serves the dense backends
+
+  // Replace every backend with an all-zero one; the mirror zeroes the
+  // same weights so its forward() is the expected result.
+  for (Linear* layer : task->packed_layers()) {
+    const MatrixF& w = layer->weight().value;
+    layer->set_packed_weight(make_packed("csr", MatrixF(w.rows(), w.cols())));
+  }
+  for (Param* w : mirror.model.prunable_weights()) w->value.fill(0.0f);
+  EXPECT_EQ(task->evaluate(), mirror.forward_accuracy());
+  task->clear_packed_weights();
 }
 
 TEST(ModelGraphTest, VggEvaluateWithFormatServesPacked) {

@@ -166,7 +166,6 @@ TEST(GraphBatchEntryTest, KeepsMKeyedGraphCache) {
   config.name = "cached";
   config.input_cols = 16;
   config.output_cols = 32;
-  config.graph_cache_capacity = 2;
   config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in, std::size_t) {
     const auto out = g.add_slot("out");
     g.add_gemm("gemm", packed.get(), in, out);
@@ -174,19 +173,22 @@ TEST(GraphBatchEntryTest, KeepsMKeyedGraphCache) {
   };
   GraphBatchEntry entry(std::move(config));
   ExecScheduler scheduler;
-  const MatrixF reference = entry.run(scheduler, random_matrix(6, 16, 31));
-  entry.run(scheduler, random_matrix(12, 16, 32));
-  EXPECT_EQ(entry.cached_graphs(), 2u);
+  const MatrixF input12 = random_matrix(12, 16, 32);
+  entry.run(scheduler, random_matrix(6, 16, 31));
+  const MatrixF reference12 = entry.run(scheduler, input12);
+  entry.run(scheduler, random_matrix(18, 16, 33));
+  entry.run(scheduler, random_matrix(24, 16, 34));
+  EXPECT_EQ(entry.cached_graphs(), 4u);
   // Re-running an already-cached M must not grow the cache...
-  entry.run(scheduler, random_matrix(6, 16, 33));
-  EXPECT_EQ(entry.cached_graphs(), 2u);
-  // ...and new Ms evict LRU instead of growing past capacity.
-  entry.run(scheduler, random_matrix(18, 16, 34));
-  entry.run(scheduler, random_matrix(24, 16, 35));
-  EXPECT_EQ(entry.cached_graphs(), 2u);
+  entry.run(scheduler, random_matrix(6, 16, 35));
+  EXPECT_EQ(entry.cached_graphs(), 4u);
+  // ...and a fifth M evicts the least recently used one (12) instead of
+  // growing past capacity.
+  entry.run(scheduler, random_matrix(30, 16, 36));
+  EXPECT_EQ(entry.cached_graphs(), 4u);
   // An evicted-and-rebuilt M still computes the same bits.
-  EXPECT_TRUE(bit_identical(entry.run(scheduler, random_matrix(6, 16, 31)),
-                            reference));
+  EXPECT_TRUE(bit_identical(entry.run(scheduler, input12), reference12));
+  EXPECT_EQ(entry.cached_graphs(), 4u);
 }
 
 TEST(GraphBatchEntryTest, RejectsMisshapenInput) {

@@ -2,9 +2,9 @@
 // malformed graph — cycles, reads before any writer, slot-implied
 // hazards with no covering dependency path, bad shard plans, shape
 // mismatches — is rejected with a diagnostic naming the offending
-// nodes/slots, while the real model graphs (Bert/NMT/VGG) validate
-// clean.  The scheduler runs this audit once per graph build, so a
-// malformed plan throws GraphValidationError before any dispatch.
+// nodes/slots, while the real model graph (BERT) validates clean.  The
+// scheduler runs this audit once per graph build, so a malformed plan
+// throws GraphValidationError before any dispatch.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +19,6 @@
 #include "exec/scheduler.hpp"
 #include "exec/validate.hpp"
 #include "nn/bert_mini.hpp"
-#include "nn/nmt_mini.hpp"
-#include "nn/vgg_mini.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "workload/datasets.hpp"
@@ -320,44 +318,12 @@ TEST(ValidateTest, BertGraphValidatesClean) {
   TokenTeacherDataset dataset(64, config.seq, config.classes, config.dim, 91);
   BertMini model(config, dataset.embedding());
   model.pack_weights("dense");
-  ExecGraph& graph = model.build_exec_graph();
+  ExecGraph graph;
+  const ExecGraph::SlotId input = graph.add_slot("x");
+  graph.mark_input(input);
+  graph.mark_output(model.append_exec_graph(graph, input));
   const auto findings = validate_graph(graph);
   EXPECT_TRUE(findings.empty()) << render(findings);
-}
-
-TEST(ValidateTest, NmtGraphValidatesClean) {
-  NmtMini model(NmtMiniConfig{});
-  model.pack_weights("dense");
-  ExecGraph& graph = model.build_exec_graph();
-  const auto findings = validate_graph(graph);
-  EXPECT_TRUE(findings.empty()) << render(findings);
-}
-
-TEST(ValidateTest, VggGraphValidatesClean) {
-  VggMini model(VggMiniConfig{});
-  model.pack_weights("dense");
-  ExecGraph& graph = model.build_exec_graph();
-  const auto findings = validate_graph(graph);
-  EXPECT_TRUE(findings.empty()) << render(findings);
-}
-
-TEST(ValidateTest, VggGraphForwardMatchesSync) {
-  const VggMiniConfig config;
-  VggMini model(config);
-  const MatrixF images = random_matrix(
-      6, config.channels * config.height * config.width, 11);
-  const MatrixF sync = model.forward(images);
-  SchedulerOptions options;
-  options.streams = 1;
-  ExecScheduler scheduler(options);
-  model.set_exec_scheduler(&scheduler);
-  const MatrixF scheduled = model.forward(images);
-  EXPECT_THROW(model.backward(scheduled), std::logic_error);
-  model.set_exec_scheduler(nullptr);
-  ASSERT_EQ(scheduled.rows(), sync.rows());
-  ASSERT_EQ(scheduled.cols(), sync.cols());
-  for (std::size_t i = 0; i < sync.size(); ++i)
-    EXPECT_FLOAT_EQ(scheduled.data()[i], sync.data()[i]);
 }
 
 }  // namespace
