@@ -22,7 +22,6 @@
 #include "exec/backend_registry.hpp"
 #include "exec/planner.hpp"
 #include "io/serialize.hpp"
-#include "sparse/bsr.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -101,36 +100,9 @@ int main(int argc, char** argv) {
   const auto csr = make_packed("csr", unstructured);
   const double csr_rate = measured_rate(*csr, a, c);
 
-  // BSR at 50% block sparsity (32x32 blocks): not a PackedWeight
-  // backend, but the planner prices it for format comparisons.
-  MatrixF blocky = w;
-  {
-    Rng block_rng(29);
-    const std::size_t blk = 32;
-    for (std::size_t br = 0; br < kn / blk; ++br)
-      for (std::size_t bc = 0; bc < kn / blk; ++bc) {
-        if (block_rng.uniform() >= 0.5) continue;
-        for (std::size_t r = 0; r < blk; ++r)
-          for (std::size_t col = 0; col < blk; ++col)
-            blocky(br * blk + r, bc * blk + col) = 0.0f;
-      }
-  }
-  const Bsr bsr = bsr_from_dense(blocky, 32);
-  const double bsr_macs = static_cast<double>(m) *
-                          static_cast<double>(bsr.stored_blocks()) * 32.0 *
-                          32.0;
-  const double bsr_time = time_best_of(
-      [&] {
-        c.fill(0.0f);
-        bsr_gemm_accumulate(a, bsr, c);
-      },
-      7);
-  const double bsr_rate = bsr_macs / bsr_time;
-
   PlannerCalibration calib;
   calib.csr_mac_penalty = dense_rate / csr_rate;
   calib.tw_mac_penalty = dense_rate / tw_rate;
-  calib.bsr_mac_penalty = dense_rate / bsr_rate;
   calib.int8_mac_discount = dense_rate / int8_rate;
   calib.dense_gflops = 2.0 * dense_rate * 1e-9;
 
@@ -189,8 +161,6 @@ int main(int argc, char** argv) {
                  format_double(calib.csr_mac_penalty, 2)});
   table.add_row({"tw_mac_penalty", format_double(defaults.tw_mac_penalty, 2),
                  format_double(calib.tw_mac_penalty, 2)});
-  table.add_row({"bsr_mac_penalty", format_double(defaults.bsr_mac_penalty, 2),
-                 format_double(calib.bsr_mac_penalty, 2)});
   table.add_row({"shard_overhead_us",
                  format_double(defaults.shard_overhead_us, 2),
                  format_double(calib.shard_overhead_us, 2)});

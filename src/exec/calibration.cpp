@@ -36,7 +36,6 @@ PlannerCalibration& global_calibration() {
 
 double PlannerCalibration::mac_penalty(std::string_view format) const noexcept {
   if (format == "csr") return csr_mac_penalty;
-  if (format == "bsr") return bsr_mac_penalty;
   if (format == "tw" || format == "tew") return tw_mac_penalty;
   if (format == "tw-int8") return int8_mac_discount;
   return 1.0;  // dense and unknown custom formats

@@ -26,9 +26,6 @@ struct PlannerCalibration {
   /// (TW keeps the dense substrate), but measured on this host it also
   /// absorbs pack/scatter overhead.
   double tw_mac_penalty = 1.0;
-  /// Cost of one BSR MAC relative to dense (stored-block micro-GEMMs;
-  /// > 1 because blocks bound the K-reuse per panel pack).
-  double bsr_mac_penalty = 1.5;
   /// Cost of one int8 MAC relative to one fp32 MAC (narrower
   /// arithmetic; < 1 when the int8 kernel outruns fp32).
   double int8_mac_discount = 0.5;
@@ -50,7 +47,7 @@ struct PlannerCalibration {
   bool measured() const noexcept { return dense_gflops > 0.0; }
 
   /// Relative cost of one MAC in `format` ("dense", "tw", "tew", "csr",
-  /// "bsr", "tw-int8") vs a dense fp32 MAC; unknown formats price as
+  /// "tw-int8") vs a dense fp32 MAC; unknown formats price as
   /// dense.  Used by the planner's ranking and the scheduler's shard
   /// sizing.
   double mac_penalty(std::string_view format) const noexcept;

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "exec/calibration.hpp"
 #include "exec/validate.hpp"
 #include "tensor/ops.hpp"
 #include "util/fault_injection.hpp"
@@ -39,8 +40,7 @@ std::size_t ExecScheduler::shard_count(const ExecGraph::Node& node) const {
   // weight; slicing would re-quantise and change results.
   if (!node.weight->col_shardable() || node.ctx.int8()) return 1;
 
-  const PlannerCalibration& calibration =
-      options_.calibration ? *options_.calibration : planner_calibration();
+  const PlannerCalibration& calibration = planner_calibration();
   const double dense_gflops =
       calibration.measured() ? calibration.dense_gflops : kFallbackDenseGflops;
   // Per-format effective rate: a slow format (csr penalty > 1) covers

@@ -33,7 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "exec/calibration.hpp"
 #include "exec/graph.hpp"
 #include "util/cancellation.hpp"
 #include "util/threadpool.hpp"
@@ -66,9 +65,6 @@ struct SchedulerOptions {
   /// Negative = use the calibration's measured shard_overhead_us
   /// ("tile-shard" entry); 0 disables the floor entirely.
   double dispatch_overhead_us = -1.0;
-  /// Cost-model constants; null uses the process-wide
-  /// planner_calibration().
-  const PlannerCalibration* calibration = nullptr;
 };
 
 class ExecScheduler {

@@ -390,7 +390,6 @@ void write_calibration_json(std::ostream& out,
   out << "{\n"
       << "  \"csr_mac_penalty\": " << calibration.csr_mac_penalty << ",\n"
       << "  \"tw_mac_penalty\": " << calibration.tw_mac_penalty << ",\n"
-      << "  \"bsr_mac_penalty\": " << calibration.bsr_mac_penalty << ",\n"
       << "  \"int8_mac_discount\": " << calibration.int8_mac_discount << ",\n"
       << "  \"macs_per_byte\": " << calibration.macs_per_byte << ",\n"
       << "  \"shard_overhead_us\": " << calibration.shard_overhead_us << ",\n"
@@ -450,7 +449,6 @@ PlannerCalibration read_calibration_json(std::istream& in) {
   PlannerCalibration calibration;
   json_number(text, "csr_mac_penalty", calibration.csr_mac_penalty);
   json_number(text, "tw_mac_penalty", calibration.tw_mac_penalty);
-  json_number(text, "bsr_mac_penalty", calibration.bsr_mac_penalty);
   json_number(text, "int8_mac_discount", calibration.int8_mac_discount);
   json_number(text, "macs_per_byte", calibration.macs_per_byte);
   json_number(text, "shard_overhead_us", calibration.shard_overhead_us);
@@ -507,14 +505,6 @@ void save_pattern(const std::string& path, const TilePattern& pattern) {
 TilePattern load_pattern(const std::string& path) {
   auto in = open_in(path);
   return read_pattern(in);
-}
-void save_tiles(const std::string& path, const std::vector<MaskedTile>& tiles) {
-  auto out = open_out(path);
-  write_tiles(out, tiles);
-}
-std::vector<MaskedTile> load_tiles(const std::string& path) {
-  auto in = open_in(path);
-  return read_tiles(in);
 }
 void save_packed_weight(const std::string& path, const PackedWeight& weight,
                         wire::Layout layout) {

@@ -125,8 +125,6 @@ PlannerCalibration read_calibration_json(std::istream& in);
 // a serving process could map it.
 void save_pattern(const std::string& path, const TilePattern& pattern);
 TilePattern load_pattern(const std::string& path);
-void save_tiles(const std::string& path, const std::vector<MaskedTile>& tiles);
-std::vector<MaskedTile> load_tiles(const std::string& path);
 void save_packed_weight(const std::string& path, const PackedWeight& weight,
                         wire::Layout layout = {});
 std::unique_ptr<PackedWeight> load_packed_weight(const std::string& path);

@@ -14,7 +14,7 @@ namespace tilesparse::serve {
 
 struct BatchPolicy {
   /// Master switch.  Off, every batchable request runs solo on the
-  /// worker that popped it (the PR 8 path, bit-for-bit).
+  /// worker that popped it, through the runtime's retry loop.
   bool enabled = false;
   /// Flush a forming batch once its input rows reach this many.
   std::size_t max_batch_m = 256;

@@ -2,33 +2,28 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <stdexcept>
 #include <utility>
 
 #include "util/guards.hpp"
 
 namespace tilesparse::serve {
 
-RequestBatcher::RequestBatcher(const BatchPolicy& policy, Completer completer)
-    : policy_(policy), completer_(std::move(completer)) {
+RequestBatcher::RequestBatcher(const BatchPolicy& policy, Completer completer,
+                               SoloRunner solo)
+    : policy_(policy),
+      completer_(std::move(completer)),
+      solo_(std::move(solo)) {
   TS_CHECK(completer_ != nullptr, "RequestBatcher: null completer");
+  TS_CHECK(solo_ != nullptr, "RequestBatcher: null solo runner");
   if (policy_.max_batch_m == 0) policy_.max_batch_m = 1;
   if (policy_.max_linger.count() < 0) policy_.max_linger = {};
-}
-
-void RequestBatcher::complete_member(BatchMember& member, Response response) {
-  response.tag = member.tag;
-  response.queue_wait = member.arrival - member.enqueued;
-  response.service_time = Clock::now() - member.arrival;
-  completer_(member, std::move(response));
 }
 
 void RequestBatcher::complete_timeout(BatchMember& member, const char* reason) {
   Response response;
   response.status = RequestStatus::kTimeout;
   response.error = reason;
-  complete_member(member, std::move(response));
+  completer_(member, std::move(response));
 }
 
 void RequestBatcher::serve(const std::shared_ptr<BatchEntry>& entry,
@@ -52,8 +47,7 @@ void RequestBatcher::serve(const std::shared_ptr<BatchEntry>& entry,
   if (bypass) {
     if (policy_.enabled) ++stats_.solo_bypass;
     lock.unlock();
-    run_solo(*entry, member, worker, /*force_fallback=*/false,
-             /*prior_attempts=*/0);
+    solo_(*entry, member, worker, /*batch_faulted=*/false);
     return;
   }
 
@@ -135,15 +129,15 @@ void RequestBatcher::run_batch(Group& group, BatchEntry& entry,
     return;
   } catch (...) {
     // Batch-level fault (a poisoned member, an injected fault, a
-    // rejected graph): isolate by re-running every member SOLO on the
-    // serial fallback path, so exactly the culpable member fails.
+    // rejected graph): isolate by retrying every member SOLO, which
+    // runs on the serial fallback path, so exactly the culpable member
+    // fails.
     {
       std::lock_guard stats_lock(mutex_);
       stats_.solo_fallback += members.size();
     }
     for (BatchMember& member : members)
-      run_solo(entry, member, worker, /*force_fallback=*/true,
-               /*prior_attempts=*/1);
+      solo_(entry, member, worker, /*batch_faulted=*/true);
     return;
   }
 
@@ -173,44 +167,8 @@ void RequestBatcher::run_batch(Group& group, BatchEntry& entry,
     const RowStage::Slice out_slice = RowStage::map_groups(
         slices[i], entry.group_rows_in(), entry.group_rows_out());
     response.result = RowStage::scatter(out, out_slice);
-    complete_member(member, std::move(response));
+    completer_(member, std::move(response));
   }
-}
-
-void RequestBatcher::run_solo(BatchEntry& entry, BatchMember& member,
-                              const BatchWorker& worker, bool force_fallback,
-                              std::uint32_t prior_attempts) {
-  Response response;
-  for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
-    const bool use_fallback = force_fallback || attempt > 0;
-    response.attempts = prior_attempts + attempt + 1;
-    response.degraded = use_fallback;
-    worker.cancel->reset(member.deadline);
-    ExecScheduler& scheduler =
-        use_fallback ? *worker.fallback : *worker.primary;
-    try {
-      response.result = entry.run(scheduler, member.input);
-      response.status = RequestStatus::kOk;
-      break;
-    } catch (const CancelledError& e) {
-      response.status = RequestStatus::kTimeout;
-      response.error = e.what();
-      break;
-    } catch (const std::exception& e) {
-      response.status = RequestStatus::kFailed;
-      response.error = e.what();
-    } catch (...) {
-      response.status = RequestStatus::kFailed;
-      response.error = "unknown exception from batch entry";
-    }
-    if (use_fallback) break;  // the fallback attempt was the last word
-    if (Clock::now() >= member.deadline) {
-      response.status = RequestStatus::kTimeout;
-      response.error = "deadline expired before solo retry";
-      break;
-    }
-  }
-  complete_member(member, std::move(response));
 }
 
 void RequestBatcher::close(Close mode) {

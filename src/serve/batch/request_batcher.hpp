@@ -7,9 +7,11 @@
 //
 //   worker pops item ──► serve(entry, member, worker)
 //        │
-//        ├─ bypass?  remaining deadline budget below the linger
-//        │  window (policy.bypass_slack_factor x max_linger), or
-//        │  batching disabled ──► run solo on the calling worker now.
+//        ├─ bypass?  batching disabled, or remaining deadline budget
+//        │  below the linger window (policy.bypass_slack_factor x
+//        │  max_linger) ──► hand the member to the runtime's solo
+//        │  runner on the calling worker now (its one retry loop:
+//        │  max_attempts, backoff, serial fallback on retries).
 //        │
 //        ├─ a leader is already forming a batch for this entry ──►
 //        │  deposit the member with the TenantScheduler, nudge the
@@ -27,12 +29,14 @@
 // Failure isolation: a batch run that throws CancelledError times out
 // every member (the deadline armed is the latest member deadline, so
 // this means the whole batch was doomed or the runtime is shutting
-// down).  Any other failure re-runs each member SOLO on the worker's
-// serial fallback scheduler — one poisoned member then fails alone
-// (FAILED) while its co-travellers still complete OK.  A member whose
-// own deadline expired while the batch executed gets TIMEOUT and its
-// output slice is dropped.  Every member reaches exactly one terminal
-// status through the Completer, whatever path it took.
+// down).  Any other failure hands each member to the solo runner as a
+// retry: the batch run was its first attempt, so it continues at
+// attempt 2 on the worker's serial fallback scheduler — one poisoned
+// member then fails alone (FAILED) while its co-travellers still
+// complete OK.  A member whose own deadline expired while the batch
+// executed gets TIMEOUT and its output slice is dropped.  Every member
+// reaches exactly one terminal status through the Completer (directly,
+// or at the end of the solo runner), whatever path it took.
 
 #include <condition_variable>
 #include <cstddef>
@@ -68,8 +72,15 @@ class RequestBatcher {
   /// runtime's completer records global + per-tenant accounting and
   /// completes the member's handle.
   using Completer = std::function<void(BatchMember& member, Response response)>;
+  /// Runs one member solo on the calling worker through the runtime's
+  /// retry loop, which completes it.  `batch_faulted`: the member's
+  /// first attempt was a batch run that faulted.
+  using SoloRunner =
+      std::function<void(BatchEntry& entry, BatchMember& member,
+                         const BatchWorker& worker, bool batch_faulted)>;
 
-  RequestBatcher(const BatchPolicy& policy, Completer completer);
+  RequestBatcher(const BatchPolicy& policy, Completer completer,
+                 SoloRunner solo);
 
   /// Serves one admitted member of `entry` using the calling worker.
   /// May block while the caller acts as batch leader.  On return the
@@ -110,17 +121,11 @@ class RequestBatcher {
             const BatchWorker& worker, std::unique_lock<std::mutex>& lock);
   void run_batch(Group& group, BatchEntry& entry,
                  std::vector<BatchMember> members, const BatchWorker& worker);
-  /// Solo execution on the calling worker: primary attempt, serial
-  /// fallback retry on non-cancel failure (mirrors the runtime's
-  /// max_attempts=2 shape without backoff).
-  void run_solo(BatchEntry& entry, BatchMember& member,
-                const BatchWorker& worker, bool force_fallback,
-                std::uint32_t prior_attempts);
-  void complete_member(BatchMember& member, Response response);
   void complete_timeout(BatchMember& member, const char* reason);
 
   BatchPolicy policy_;
   Completer completer_;
+  SoloRunner solo_;
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Group>> groups_;
   bool draining_ = false;

@@ -51,33 +51,22 @@ ServingRuntime::ServingRuntime(ServingOptions options)
   if (options_.max_attempts == 0) options_.max_attempts = 1;
   queue_ = std::make_unique<AdmissionQueue<std::shared_ptr<Item>>>(
       options_.queue_capacity);
-  // The batcher completes members directly (they never return to
-  // serve_one), so its completer is the worker-side accounting path.
+  // Entry requests always go through the batcher; it completes members
+  // through complete() and retries them solo through run_attempts(),
+  // the same two functions opaque work uses.
   batcher_ = std::make_unique<RequestBatcher>(
-      options_.batch, [this](BatchMember& member, Response response) {
-        switch (response.status) {
-          case RequestStatus::kOk:
-            counters_->ok.fetch_add(1, std::memory_order_relaxed);
-            if (response.degraded)
-              counters_->degraded_ok.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case RequestStatus::kTimeout:
-            counters_->timeout.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case RequestStatus::kFailed:
-            counters_->failed.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case RequestStatus::kRejected:
-          case RequestStatus::kPending:
-            TS_CHECK(false, "RequestBatcher: unexpected member status");
-            break;
-        }
-        if (response.attempts > 1)
-          counters_->retries.fetch_add(response.attempts - 1,
-                                       std::memory_order_relaxed);
-        bump_tenant(member.tenant, response.status, response.batched,
-                    member.cost);
-        member.handle->complete(std::move(response));
+      options_.batch,
+      [this](BatchMember& member, Response response) {
+        complete(member, std::move(response));
+      },
+      [this](BatchEntry& entry, BatchMember& member, const BatchWorker& worker,
+             bool batch_faulted) {
+        run_attempts(
+            member, worker,
+            [&entry, &member](WorkerContext& context) {
+              return entry.run(context.scheduler, member.input);
+            },
+            batch_faulted);
       });
 
   workers_.reserve(options_.workers);
@@ -142,50 +131,44 @@ RequestHandle ServingRuntime::submit(Request request) {
           std::to_string(entry->group_rows_in()) + " rows x " +
           std::to_string(entry->input_cols()) + " cols");
     }
-    if (options_.batch.enabled) {
-      // The resolved entry rides on the item; serve_one routes it to
-      // the batcher instead of the work path.
-      request.work = nullptr;
-    } else {
-      // Batching off: synthesize the classic PR 8 work callable, so
-      // the request takes exactly the solo worker path (this is the
-      // "unbatched" baseline batched runs are compared against).
-      auto input = std::make_shared<const MatrixF>(std::move(request.input));
-      request.work = [entry, input](WorkerContext& context) {
-        return entry->run(context.scheduler, *input);
-      };
-    }
   }
   auto handle = std::make_shared<PendingRequest>(
       next_id_.fetch_add(1, std::memory_order_relaxed));
   counters_->submitted.fetch_add(1, std::memory_order_relaxed);
 
   auto item = std::make_shared<Item>();
-  item->enqueued = Clock::now();
-  item->deadline = request.deadline;
-  if (item->deadline == Clock::time_point::max() &&
+  BatchMember& member = item->member;
+  member.handle = handle;
+  // A copy: once pushed, a worker may move the member away, so the
+  // admission bookkeeping below reads the tenant from `request`.
+  member.tenant = request.tenant_id;
+  member.tag = std::move(request.tag);
+  member.enqueued = Clock::now();
+  member.deadline = request.deadline;
+  if (member.deadline == Clock::time_point::max() &&
       options_.default_deadline != Clock::duration::max()) {
-    item->deadline = item->enqueued + options_.default_deadline;
+    member.deadline = member.enqueued + options_.default_deadline;
   }
-  const Priority priority = request.priority;
-  item->request = std::move(request);
-  item->handle = handle;
-  if (batchable && options_.batch.enabled) item->entry = std::move(entry);
+  member.cost = entry ? entry->cost(request.input.rows()) : 0.0;
+  member.input = std::move(request.input);
+  item->work = std::move(request.work);
+  item->entry = std::move(entry);
   {
     std::lock_guard lock(tenants_mutex_);
-    ++tenant_stats_[item->request.tenant_id].submitted;
+    ++tenant_stats_[member.tenant].submitted;
   }
 
   std::shared_ptr<Item> shed;
   const PushOutcome outcome =
-      queue_->push(item, priority, options_.evict_lower_priority ? &shed : nullptr,
-                   item->request.tenant_id);
+      queue_->push(item, request.priority,
+                   options_.evict_lower_priority ? &shed : nullptr,
+                   request.tenant_id);
   switch (outcome) {
     case PushOutcome::kAdmitted:
       counters_->admitted.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].admitted;
+        ++tenant_stats_[request.tenant_id].admitted;
       }
       break;
     case PushOutcome::kAdmittedAfterEvict: {
@@ -197,24 +180,24 @@ RequestHandle ServingRuntime::submit(Request request) {
       counters_->evicted.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].admitted;
-        ++tenant_stats_[shed->request.tenant_id].evicted;
+        ++tenant_stats_[request.tenant_id].admitted;
+        ++tenant_stats_[shed->member.tenant].evicted;
       }
-      response.tag = shed->request.tag;
-      response.queue_wait = Clock::now() - shed->enqueued;
-      shed->handle->complete(std::move(response));
+      response.tag = shed->member.tag;
+      response.queue_wait = Clock::now() - shed->member.enqueued;
+      shed->member.handle->complete(std::move(response));
       break;
     }
     case PushOutcome::kRejectedFull: {
       counters_->rejected_full.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].rejected_full;
+        ++tenant_stats_[request.tenant_id].rejected_full;
       }
       Response response;
       response.status = RequestStatus::kRejected;
       response.error = "admission queue full";
-      response.tag = item->request.tag;
+      response.tag = member.tag;
       handle->complete(std::move(response));
       break;
     }
@@ -222,12 +205,12 @@ RequestHandle ServingRuntime::submit(Request request) {
       counters_->rejected_closed.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard lock(tenants_mutex_);
-        ++tenant_stats_[item->request.tenant_id].rejected_closed;
+        ++tenant_stats_[request.tenant_id].rejected_closed;
       }
       Response response;
       response.status = RequestStatus::kRejected;
       response.error = "runtime shutting down";
-      response.tag = item->request.tag;
+      response.tag = member.tag;
       handle->complete(std::move(response));
       break;
     }
@@ -248,63 +231,52 @@ std::shared_ptr<BatchEntry> ServingRuntime::batch_entry(
   return it == entries_.end() ? nullptr : it->second;
 }
 
-void ServingRuntime::bump_tenant(const std::string& tenant,
-                                 RequestStatus status, bool batched,
-                                 double cost) {
-  std::lock_guard lock(tenants_mutex_);
-  TenantStats& stats = tenant_stats_[tenant];
-  switch (status) {
-    case RequestStatus::kOk:
-      ++stats.ok;
-      stats.cost_ok += cost;
-      if (batched) ++stats.batched_ok;
-      break;
-    case RequestStatus::kTimeout:
-      ++stats.timeout;
-      break;
-    case RequestStatus::kFailed:
-      ++stats.failed;
-      break;
-    case RequestStatus::kRejected:
-    case RequestStatus::kPending:
-      TS_CHECK(false, "bump_tenant: unexpected worker-side status");
-      break;
+void ServingRuntime::complete(BatchMember& member, Response response) {
+  response.tag = member.tag;
+  response.queue_wait = member.arrival - member.enqueued;
+  response.service_time = Clock::now() - member.arrival;
+  if (response.attempts > 1)
+    counters_->retries.fetch_add(response.attempts - 1,
+                                 std::memory_order_relaxed);
+  {
+    std::lock_guard lock(tenants_mutex_);
+    TenantStats& tenant = tenant_stats_[member.tenant];
+    switch (response.status) {
+      case RequestStatus::kOk:
+        counters_->ok.fetch_add(1, std::memory_order_relaxed);
+        if (response.degraded)
+          counters_->degraded_ok.fetch_add(1, std::memory_order_relaxed);
+        ++tenant.ok;
+        tenant.cost_ok += member.cost;
+        if (response.batched) ++tenant.batched_ok;
+        break;
+      case RequestStatus::kTimeout:
+        counters_->timeout.fetch_add(1, std::memory_order_relaxed);
+        ++tenant.timeout;
+        break;
+      case RequestStatus::kFailed:
+        counters_->failed.fetch_add(1, std::memory_order_relaxed);
+        ++tenant.failed;
+        break;
+      case RequestStatus::kRejected:
+      case RequestStatus::kPending:
+        TS_CHECK(false, "ServingRuntime: unexpected worker-side status");
+        break;
+    }
   }
+  member.handle->complete(std::move(response));
 }
 
-void ServingRuntime::complete(Item& item, Response response) {
-  // Admission-side rejections (full / closed / evicted) are counted and
-  // completed inline in submit(); this path records worker-side
-  // terminal statuses only.
-  response.tag = item.request.tag;
-  switch (response.status) {
-    case RequestStatus::kOk:
-      counters_->ok.fetch_add(1, std::memory_order_relaxed);
-      if (response.degraded)
-        counters_->degraded_ok.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::kTimeout:
-      counters_->timeout.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::kFailed:
-      counters_->failed.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::kRejected:
-    case RequestStatus::kPending:
-      TS_CHECK(false, "ServingRuntime: unexpected worker-side status");
-      break;
-  }
-  bump_tenant(item.request.tenant_id, response.status, response.batched, 0.0);
-  item.handle->complete(std::move(response));
-}
+namespace {
 
-bool ServingRuntime::backoff_wait(const Worker& worker, Clock::duration wait,
-                                  Clock::time_point deadline) {
+/// Deadline/cancel-aware sleep; false when the wait was cut short.
+bool backoff_wait(const CancelToken& cancel, Clock::duration wait,
+                  Clock::time_point deadline) {
   const Clock::time_point wake = Clock::now() + wait;
   while (true) {
     const Clock::time_point now = Clock::now();
     if (now >= wake) return true;
-    if (now >= deadline || worker.cancel.cancel_requested()) return false;
+    if (now >= deadline || cancel.cancel_requested()) return false;
     // Short slices keep the wait responsive to deadlines and to
     // shutdown(kCancel) without a dedicated per-worker condition
     // variable.
@@ -314,61 +286,37 @@ bool ServingRuntime::backoff_wait(const Worker& worker, Clock::duration wait,
   }
 }
 
-void ServingRuntime::serve_one(Worker& worker, std::size_t worker_id,
-                               std::shared_ptr<Item> item) {
-  const Clock::time_point popped = Clock::now();
-  Response response;
-  response.queue_wait = popped - item->enqueued;
+}  // namespace
 
-  if (popped >= item->deadline) {
-    response.status = RequestStatus::kTimeout;
-    response.error = "deadline expired in admission queue";
-    complete(*item, std::move(response));
-    return;
-  }
-
-  if (item->entry) {
-    // Batchable request with batching enabled: hand it to the batcher,
-    // which completes it (possibly inside a wide-M run with members
-    // other workers deposited).  This worker may serve as the batch
-    // leader for a while; that is by design — the remaining workers
-    // keep popping and feeding the forming batch.
-    BatchMember member;
-    member.handle = item->handle;
-    member.input = std::move(item->request.input);
-    member.tenant = item->request.tenant_id;
-    member.tag = item->request.tag;
-    member.enqueued = item->enqueued;
-    member.arrival = popped;
-    member.deadline = item->deadline;
-    member.cost = item->entry->cost(member.input.rows());
-    BatchWorker batch_worker{worker.primary.get(), worker.fallback.get(),
-                             &worker.cancel, worker_id};
-    batcher_->serve(item->entry, std::move(member), batch_worker);
-    return;
-  }
-
+void ServingRuntime::run_attempts(
+    BatchMember& member, const BatchWorker& worker,
+    const std::function<MatrixF(WorkerContext&)>& work, bool batch_faulted) {
+  // A faulted batch run was the member's first attempt on the primary
+  // path; it continues at once on the fallback.  The loop always runs
+  // the attempt it starts at, so that retry happens even at
+  // max_attempts = 1 (failure isolation).
+  std::uint32_t attempt = batch_faulted ? 1 : 0;
   auto backoff = std::chrono::duration_cast<Clock::duration>(
       options_.retry_backoff);
   // Once streams == 1 the primary path IS serial; "degraded" then only
   // ever means the validation-off fallback engaged.
-  bool degraded = false;
-  for (std::uint32_t attempt = 0;; ++attempt) {
+  bool degraded = batch_faulted;
+  Response response;
+  for (;; ++attempt) {
     response.attempts = attempt + 1;
     response.degraded = degraded;
-    if (attempt > 0) counters_->retries.fetch_add(1, std::memory_order_relaxed);
-    worker.cancel.reset(item->deadline);
+    worker.cancel->reset(member.deadline);
     ExecScheduler& scheduler =
         degraded ? *worker.fallback : *worker.primary;
     // Pin the attached model for this attempt: a concurrent
     // attach_model must not destroy storage (possibly a borrowed mmap)
     // the work callable is executing against.
     const std::shared_ptr<const SharedModel> pinned_model = model();
-    WorkerContext context{scheduler, worker.cancel, worker_id, attempt,
-                          degraded, pinned_model.get()};
+    WorkerContext context{scheduler,         *worker.cancel, worker.worker_id,
+                          attempt,           degraded,       pinned_model.get()};
     bool validation_failure = false;
     try {
-      response.result = item->request.work(context);
+      response.result = work(context);
       response.status = RequestStatus::kOk;
       break;
     } catch (const CancelledError& e) {
@@ -399,8 +347,8 @@ void ServingRuntime::serve_one(Worker& worker, std::size_t worker_id,
     if (!validation_failure) {
       // Transient-failure backoff; validation failures skip it (the
       // fallback either serves the graph or never will).
-      if (!backoff_wait(worker, backoff, item->deadline)) {
-        if (Clock::now() >= item->deadline) {
+      if (!backoff_wait(*worker.cancel, backoff, member.deadline)) {
+        if (Clock::now() >= member.deadline) {
           response.status = RequestStatus::kTimeout;
           response.error = "deadline expired during retry backoff";
           break;
@@ -411,22 +359,44 @@ void ServingRuntime::serve_one(Worker& worker, std::size_t worker_id,
       backoff = std::chrono::duration_cast<Clock::duration>(
           backoff * options_.backoff_multiplier);
     }
-    if (Clock::now() >= item->deadline) {
+    if (Clock::now() >= member.deadline) {
       response.status = RequestStatus::kTimeout;
       response.error = "deadline expired before retry";
       break;
     }
   }
+  complete(member, std::move(response));
+}
 
-  response.service_time = Clock::now() - popped;
-  complete(*item, std::move(response));
+void ServingRuntime::serve_one(Worker& worker, std::size_t worker_id,
+                               Item& item) {
+  BatchMember& member = item.member;
+  member.arrival = Clock::now();
+  if (member.arrival >= member.deadline) {
+    Response response;
+    response.status = RequestStatus::kTimeout;
+    response.error = "deadline expired in admission queue";
+    complete(member, std::move(response));
+    return;
+  }
+  const BatchWorker batch_worker{worker.primary.get(), worker.fallback.get(),
+                                 &worker.cancel, worker_id};
+  if (item.entry) {
+    // Entry request: the batcher completes it, inside a wide-M run with
+    // members other workers deposited or solo.  This worker may serve
+    // as the batch leader for a while; that is by design — the
+    // remaining workers keep popping and feeding the forming batch.
+    batcher_->serve(item.entry, std::move(member), batch_worker);
+    return;
+  }
+  run_attempts(member, batch_worker, item.work, /*batch_faulted=*/false);
 }
 
 void ServingRuntime::worker_loop(std::size_t worker_id) {
   Worker& worker = *workers_[worker_id];
   std::shared_ptr<Item> item;
   while (queue_->pop(item)) {
-    serve_one(worker, worker_id, std::move(item));
+    serve_one(worker, worker_id, *item);
     item.reset();
   }
 }
@@ -442,11 +412,11 @@ void ServingRuntime::shutdown(Shutdown mode) {
     // queued inside the batcher, then in-flight work.
     std::vector<std::shared_ptr<Item>> backlog = queue_->close_and_drain();
     for (std::shared_ptr<Item>& item : backlog) {
+      item->member.arrival = Clock::now();
       Response response;
       response.status = RequestStatus::kTimeout;
       response.error = "cancelled: runtime shutdown";
-      response.queue_wait = Clock::now() - item->enqueued;
-      complete(*item, std::move(response));
+      complete(item->member, std::move(response));
     }
     batcher_->close(RequestBatcher::Close::kCancel);
     for (auto& worker : workers_) worker->cancel.cancel();

@@ -25,7 +25,15 @@
 //    exponential backoff, and after the overlapped multi-stream path
 //    faults (or its graph fails validation) the retry runs on the
 //    streams=1 serial fallback scheduler — slower, but with the
-//    smallest possible machinery still in the loop.
+//    smallest possible machinery still in the loop.  Every solo run —
+//    opaque work, or a batch entry with batching off, bypassing the
+//    linger or retried after a batch fault — goes through one retry
+//    loop bounded by max_attempts.  The one exception is isolation:
+//    when a batch run faults, the run counts as each member's first
+//    attempt and every member retries solo on the fallback at once,
+//    with no backoff and with at least that one retry even at
+//    max_attempts = 1 — so a poisoned member fails alone while its
+//    co-travellers complete OK.
 //  * Teardown: shutdown(kDrain) serves the backlog to completion;
 //    shutdown(kCancel) completes the backlog as TIMEOUT and cancels
 //    in-flight work at the next node boundary.  Either way the
@@ -36,6 +44,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -103,8 +112,9 @@ struct ServingOptions {
   /// overridden by `streams` above).
   SchedulerOptions scheduler;
   /// Cross-request batching policy (serve/batch/batch_policy.hpp).
-  /// Disabled by default: batchable requests then run solo through the
-  /// classic worker path, bit-for-bit.
+  /// Disabled by default: batchable requests then run solo on the
+  /// worker that popped them, through the same retry loop as opaque
+  /// work.
   BatchPolicy batch;
 };
 
@@ -228,13 +238,14 @@ class ServingRuntime {
 
  private:
   struct Item {
-    Request request;
-    RequestHandle handle;
-    Clock::time_point enqueued{};
-    Clock::time_point deadline = Clock::time_point::max();
-    /// Resolved batch entry, pinned at submit (only set when batching
-    /// is enabled; a later register_batch_entry replacing the name
-    /// must not swap graphs under an admitted request).
+    /// Handle, tenant, tag, input, timing and cost: everything the
+    /// worker-side completion records.  Opaque work bills cost 0.
+    BatchMember member;
+    /// Exactly one of the two is set: the opaque work callable, or the
+    /// resolved batch entry, pinned at submit (a later
+    /// register_batch_entry replacing the name must not swap graphs
+    /// under an admitted request).
+    std::function<MatrixF(WorkerContext&)> work;
     std::shared_ptr<BatchEntry> entry;
   };
   struct Worker {
@@ -247,16 +258,18 @@ class ServingRuntime {
   struct Counters;
 
   void worker_loop(std::size_t worker_id);
-  void serve_one(Worker& worker, std::size_t worker_id,
-                 std::shared_ptr<Item> item);
-  void complete(Item& item, Response response);
-  /// Deadline/cancel-aware sleep; false when the wait was cut short.
-  bool backoff_wait(const Worker& worker, Clock::duration wait,
-                    Clock::time_point deadline);
-  /// Per-tenant ledger entry for one terminal status (all terminal
-  /// paths — worker, admission shed, batcher completer — funnel here).
-  void bump_tenant(const std::string& tenant, RequestStatus status,
-                   bool batched, double cost);
+  void serve_one(Worker& worker, std::size_t worker_id, Item& item);
+  /// The one retry loop: runs `work` for `member` on `worker` until it
+  /// succeeds, times out or exhausts its attempts, then completes it.
+  /// `batch_faulted` continues a member whose batch run (its first
+  /// attempt) faulted; see the isolation rule in the file comment.
+  void run_attempts(BatchMember& member, const BatchWorker& worker,
+                    const std::function<MatrixF(WorkerContext&)>& work,
+                    bool batch_faulted);
+  /// Records one worker-side terminal status — global and per-tenant
+  /// counters, retries, cost — and completes the member's handle.
+  /// Admission-side rejections are recorded inline in submit().
+  void complete(BatchMember& member, Response response);
 
   ServingOptions options_;
   std::unique_ptr<AdmissionQueue<std::shared_ptr<Item>>> queue_;

@@ -14,24 +14,6 @@ namespace {
 constexpr std::size_t kDefaultStripCols = 256;
 }  // namespace
 
-MatrixF csr_spmm(const Csr& a, const MatrixF& b) {
-  TS_CHECK(a.cols == b.rows(), "csr_spmm: A cols must equal B rows");
-  MatrixF c(a.rows, b.cols());
-  const std::size_t n = b.cols();
-#pragma omp parallel for schedule(dynamic, 16)
-  for (std::size_t r = 0; r < a.rows; ++r) {
-    float* crow = c.data() + r * n;
-    for (auto i = a.row_ptr[r]; i < a.row_ptr[r + 1]; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const auto k = static_cast<std::size_t>(a.col_idx[idx]);
-      const float v = a.values[idx];
-      const float* brow = b.data() + k * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-    }
-  }
-  return c;
-}
-
 MatrixF dense_times_csr(const MatrixF& a, const Csr& b) {
   MatrixF c(a.rows(), b.cols);
   dense_times_csr_accumulate(a, b, c);

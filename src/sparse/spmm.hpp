@@ -3,16 +3,12 @@
 // EW and VW baselines execute on CUDA cores (paper Sec. III-B).
 //
 // Note the operand order: in DNN inference the *weight* matrix is
-// sparse.  With C = A * B and sparse B, the natural kernel iterates the
-// CSR of B^T or the CSC of B; we provide both orientations.
+// sparse, so every kernel here is dense A times sparse B.
 
 #include "sparse/csr.hpp"
 #include "tensor/matrix.hpp"
 
 namespace tilesparse {
-
-/// C = A(M x K, sparse CSR) * B(K x N, dense).  Row-parallel.
-MatrixF csr_spmm(const Csr& a, const MatrixF& b);
 
 /// C = A(M x K, dense) * B(K x N, sparse given as CSR of B itself).
 /// Iterates rows of B, scattering into C; this is the gather/scatter

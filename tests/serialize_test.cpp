@@ -325,6 +325,17 @@ TEST(Serialize, CalibrationMissingKeysKeepDefaults) {
   const PlannerCalibration defaults;
   EXPECT_DOUBLE_EQ(back.macs_per_byte, defaults.macs_per_byte);
   EXPECT_FALSE(back.measured());  // no dense_gflops recorded
+
+  // Files written while the planner still priced BSR carry a
+  // "bsr_mac_penalty" key; it is ignored like any unknown key.
+  std::stringstream legacy(
+      "{\"csr_mac_penalty\": 3.0, \"bsr_mac_penalty\": 1.5, "
+      "\"dense_gflops\": 40.0}");
+  const PlannerCalibration old = read_calibration_json(legacy);
+  EXPECT_DOUBLE_EQ(old.csr_mac_penalty, 3.0);
+  EXPECT_DOUBLE_EQ(old.dense_gflops, 40.0);
+  EXPECT_DOUBLE_EQ(old.tw_mac_penalty, defaults.tw_mac_penalty);
+  EXPECT_TRUE(old.measured());
 }
 
 TEST(Serialize, CalibrationRejectsNonJson) {

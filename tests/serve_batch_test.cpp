@@ -15,6 +15,8 @@
 //   * One member expiring (or poisoning the batch) cannot take its
 //     co-travellers down: they still complete OK with their exact
 //     solo results.
+//   * Every route an entry request takes (batching off, batch fault,
+//     deadline bypass) honours max_attempts through one retry loop.
 //   * TenantScheduler's deficit round robin gives a 10:1 offered-load
 //     tenant pair ~1:1 *service* at equal weights.
 //   * AdmissionQueue eviction prefers the tenant flooding the queue.
@@ -426,7 +428,7 @@ TEST(ServeBatchTest, BatchOfOneMatchesDirectSubmitBitIdentical) {
   const auto packed = pack_for_batch_test("dense", w, 16);
   const MatrixF input = random_matrix(6, 48, 52);
 
-  auto run_with = [&](bool enabled) {
+  auto run_with = [&](bool enabled, double& cost_ok) {
     ServingOptions options;
     options.workers = 2;
     options.batch.enabled = enabled;
@@ -437,11 +439,17 @@ TEST(ServeBatchTest, BatchOfOneMatchesDirectSubmitBitIdentical) {
     const Response response = handle->wait();
     runtime.shutdown();
     EXPECT_TRUE(runtime.stats().conserved());
+    cost_ok = runtime.tenant_stats().at("t").cost_ok;
     return response;
   };
 
-  const Response batched = run_with(true);
-  const Response solo = run_with(false);
+  double batched_cost = 0.0;
+  double solo_cost = 0.0;
+  const Response batched = run_with(true, batched_cost);
+  const Response solo = run_with(false, solo_cost);
+  // The tenant is billed the same service cost on either route.
+  EXPECT_GT(solo_cost, 0.0);
+  EXPECT_EQ(batched_cost, solo_cost);
   ASSERT_EQ(batched.status, RequestStatus::kOk) << batched.error;
   ASSERT_EQ(solo.status, RequestStatus::kOk) << solo.error;
   EXPECT_TRUE(batched.batched);
@@ -653,6 +661,64 @@ TEST(ServeBatchTest, PoisonedMemberFailsAloneCoTravellersStillOk) {
   EXPECT_TRUE(runtime.stats().conserved());
   for (const auto& [tenant, stats] : runtime.tenant_stats())
     EXPECT_TRUE(stats.conserved()) << "tenant " << tenant;
+}
+
+// Every route an entry request can take runs its attempts through the
+// runtime's one retry loop, so an always-failing member reports at most
+// max_attempts attempts on each.  The batch-fault route counts the
+// batch run as attempt 1 and keeps one isolation retry even at
+// max_attempts = 1.
+TEST(ServeBatchTest, EntryRequestsHonourMaxAttemptsOnEveryRoute) {
+  enum class Route { kBatchingOff, kBatchFault, kBypass };
+  struct Case {
+    Route route;
+    const char* name;
+    std::uint32_t max_attempts;
+    std::uint32_t expected_attempts;
+  };
+  const Case cases[] = {
+      {Route::kBatchingOff, "batching off", 1, 1},
+      {Route::kBatchingOff, "batching off", 3, 3},
+      {Route::kBatchFault, "batch fault", 1, 2},
+      {Route::kBatchFault, "batch fault", 3, 3},
+      {Route::kBypass, "deadline bypass", 1, 1},
+      {Route::kBypass, "deadline bypass", 3, 3},
+  };
+  MatrixF poisoned(1, 4);
+  poisoned(0, 0) = PoisonEntry::kMarker;
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + ", max_attempts " +
+                 std::to_string(c.max_attempts));
+    ServingOptions options;
+    options.workers = 1;
+    options.max_attempts = c.max_attempts;
+    options.retry_backoff = 10us;
+    options.batch.enabled = c.route != Route::kBatchingOff;
+    options.batch.max_linger = 50ms;
+    ServingRuntime runtime(options);
+    runtime.register_batch_entry(std::make_shared<PoisonEntry>());
+
+    Request request = batch_request("poison", poisoned, "t", c.name);
+    // 60 ms of budget is below bypass_slack_factor (2) x max_linger.
+    if (c.route == Route::kBypass) request.deadline = Clock::now() + 60ms;
+    const Response response = runtime.submit(std::move(request))->wait();
+    runtime.shutdown();
+
+    EXPECT_EQ(response.status, RequestStatus::kFailed) << response.error;
+    EXPECT_NE(response.error.find("poison"), std::string::npos);
+    EXPECT_EQ(response.attempts, c.expected_attempts);
+    EXPECT_EQ(response.degraded, response.attempts > 1);
+    EXPECT_FALSE(response.batched);
+    const auto stats = runtime.stats();
+    EXPECT_EQ(stats.retries, response.attempts - 1u);
+    EXPECT_TRUE(stats.conserved());
+    for (const auto& [tenant, tenant_stats] : runtime.tenant_stats())
+      EXPECT_TRUE(tenant_stats.conserved()) << "tenant " << tenant;
+    const auto batch = runtime.batch_stats();
+    EXPECT_EQ(batch.solo_fallback, c.route == Route::kBatchFault ? 1u : 0u);
+    EXPECT_EQ(batch.solo_bypass, c.route == Route::kBypass ? 1u : 0u);
+  }
 }
 
 TEST(ServeBatchTest, PerTenantAccountingConservesAndTracksBatchedCost) {

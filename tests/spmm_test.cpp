@@ -16,15 +16,6 @@ MatrixF random_sparse(std::size_t rows, std::size_t cols, double sparsity,
   return m;
 }
 
-TEST(Spmm, CsrTimesDenseMatchesReference) {
-  Rng rng(1);
-  const MatrixF a_dense = random_sparse(14, 20, 0.7, 2);
-  MatrixF b(20, 9);
-  fill_normal(b, rng);
-  const MatrixF c = csr_spmm(csr_from_dense(a_dense), b);
-  EXPECT_LT(max_abs_diff(c, matmul_reference(a_dense, b)), 1e-4f);
-}
-
 TEST(Spmm, DenseTimesCsrMatchesReference) {
   Rng rng(3);
   MatrixF a(8, 25);
