@@ -30,8 +30,9 @@ namespace tilesparse {
 
 /// Batch entry over a BertMini encoder stack.  Inputs are embed()
 /// activations: (k * seq) x dim rows per request; outputs are k x
-/// classes logits.  The model is serialized inside the entry (its
-/// layer caches are not concurrency-safe).
+/// classes logits.  Runs are serialized inside the entry: each cached
+/// graph's slots are reused from run to run.  The graph's host nodes
+/// write no layer state (they run the layers' infer() kernels).
 std::unique_ptr<GraphBatchEntry> make_bert_entry(std::string name,
                                                  BertMini& model);
 

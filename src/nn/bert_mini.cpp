@@ -5,6 +5,19 @@
 #include "tensor/ops.hpp"
 
 namespace tilesparse {
+namespace {
+
+/// out = a + b element-wise, `out` sized once (the residual host node).
+void add_into(const MatrixF& a, const MatrixF& b, MatrixF& out) {
+  assert(a.rows() == b.rows() && a.cols() == b.cols());
+  ensure_shape(out, a.rows(), a.cols());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  for (std::size_t i = 0; i < a.size(); ++i) po[i] = pa[i] + pb[i];
+}
+
+}  // namespace
 
 BertMini::BertMini(const BertMiniConfig& config, const MatrixF& embedding_table)
     : config_(config),
@@ -154,45 +167,37 @@ ExecGraph::SlotId BertMini::append_exec_graph(ExecGraph& g,
     // Attention branch with residual (pre-LN, matching forward()).
     const ExecGraph::SlotId h = g.add_slot(p + ".ln1.out");
     g.add_host(p + ".ln1", {x}, {h}, [blk, x, h](ExecGraph& gg) {
-      gg.slot(h) = blk->ln1->forward(gg.slot(x));
+      blk->ln1->infer(gg.slot(x), gg.slot(h));
     });
     const ExecGraph::SlotId attn_out = g.add_slot(p + ".attn.out");
     blk->attn->add_to_graph(g, h, attn_out);
     const ExecGraph::SlotId x1 = g.add_slot(p + ".res1");
     g.add_host(p + ".res1", {attn_out, x}, {x1},
                [attn_out, x, x1](ExecGraph& gg) {
-                 MatrixF sum = gg.slot(attn_out);
-                 const MatrixF& res = gg.slot(x);
-                 for (std::size_t i = 0; i < sum.size(); ++i)
-                   sum.data()[i] += res.data()[i];
-                 gg.slot(x1) = std::move(sum);
+                 add_into(gg.slot(attn_out), gg.slot(x), gg.slot(x1));
                });
     // FFN branch with residual.
     const ExecGraph::SlotId f = g.add_slot(p + ".ln2.out");
     g.add_host(p + ".ln2", {x1}, {f}, [blk, x1, f](ExecGraph& gg) {
-      gg.slot(f) = blk->ln2->forward(gg.slot(x1));
+      blk->ln2->infer(gg.slot(x1), gg.slot(f));
     });
     const ExecGraph::SlotId f1 = g.add_slot(p + ".ffn_in.out");
     blk->ffn_in->add_to_graph(g, f, f1);
     const ExecGraph::SlotId f2 = g.add_slot(p + ".gelu.out");
-    g.add_host(p + ".gelu", {f1}, {f2}, [blk, f1, f2](ExecGraph& gg) {
-      gg.slot(f2) = blk->gelu->forward(gg.slot(f1));
+    g.add_host(p + ".gelu", {f1}, {f2}, [f1, f2](ExecGraph& gg) {
+      Gelu::infer(gg.slot(f1), gg.slot(f2));
     });
     const ExecGraph::SlotId f3 = g.add_slot(p + ".ffn_out.out");
     blk->ffn_out->add_to_graph(g, f2, f3);
     const ExecGraph::SlotId x2 = g.add_slot(p + ".res2");
     g.add_host(p + ".res2", {f3, x1}, {x2}, [f3, x1, x2](ExecGraph& gg) {
-      MatrixF sum = gg.slot(f3);
-      const MatrixF& res = gg.slot(x1);
-      for (std::size_t i = 0; i < sum.size(); ++i)
-        sum.data()[i] += res.data()[i];
-      gg.slot(x2) = std::move(sum);
+      add_into(gg.slot(f3), gg.slot(x1), gg.slot(x2));
     });
     x = x2;
   }
   const ExecGraph::SlotId pooled = g.add_slot("pooled");
   g.add_host("pool", {x}, {pooled}, [this, x, pooled](ExecGraph& gg) {
-    gg.slot(pooled) = pool_.forward(gg.slot(x));
+    pool_.infer(gg.slot(x), gg.slot(pooled));
   });
   const ExecGraph::SlotId logits = g.add_slot("logits");
   classifier_->add_to_graph(g, pooled, logits);

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "gemm/dense_gemm.hpp"
+#include "gemm/fused_ops.hpp"
 #include "io/serialize.hpp"
 #include "tensor/ops.hpp"
 
@@ -71,7 +72,12 @@ ExecGraph::NodeId Linear::add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
   }
   return graph.add_host(weight_.name, {in}, {out},
                         [this, in, out](ExecGraph& g) {
-                          g.slot(out) = forward(g.slot(in));
+                          // forward()'s dense branch, into the slot.
+                          const MatrixF& x = g.slot(in);
+                          MatrixF& y = g.slot(out);
+                          ensure_shape(y, x.rows(), weight_.value.cols());
+                          dense_gemm(x, weight_.value, y);
+                          add_row_bias(y, bias_.value);
                         });
 }
 
@@ -181,10 +187,6 @@ MatrixF ReLU::backward(const MatrixF& dy) {
 namespace {
 constexpr float kSqrt2OverPi = 0.7978845608028654f;
 
-inline float gelu_forward_scalar(float x) {
-  return 0.5f * x * (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
-}
-
 inline float gelu_backward_scalar(float x) {
   const float x3 = x * x * x;
   const float inner = kSqrt2OverPi * (x + 0.044715f * x3);
@@ -195,10 +197,15 @@ inline float gelu_backward_scalar(float x) {
 }
 }  // namespace
 
+void Gelu::infer(const MatrixF& x, MatrixF& y) {
+  ensure_shape(y, x.rows(), x.cols());
+  gelu(x.data(), y.data(), x.size());
+}
+
 MatrixF Gelu::forward(const MatrixF& x) {
   x_ = x;
-  MatrixF y = x;
-  for (float& v : y.flat()) v = gelu_forward_scalar(v);
+  MatrixF y;
+  infer(x, y);
   return y;
 }
 
@@ -216,34 +223,53 @@ LayerNorm::LayerNorm(std::string name, std::size_t dim)
   gamma_.value.fill(1.0f);
 }
 
+namespace {
+/// One LayerNorm row: y = (x - mean) * inv_std * gamma + beta, storing
+/// the normalised values in `normalized` when given.  Returns inv_std.
+/// The single definition forward() and infer() share, so the training
+/// path and the graph node agree bit for bit.
+float layer_norm_row(const float* x, std::size_t n, const float* gamma,
+                     const float* beta, float eps, float* normalized,
+                     float* y) {
+  float mean = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) mean += x[c];
+  mean /= static_cast<float>(n);
+  float var = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) {
+    const float d = x[c] - mean;
+    var += d * d;
+  }
+  var /= static_cast<float>(n);
+  const float inv = 1.0f / std::sqrt(var + eps);
+  for (std::size_t c = 0; c < n; ++c) {
+    const float z = (x[c] - mean) * inv;
+    if (normalized) normalized[c] = z;
+    y[c] = z * gamma[c] + beta[c];
+  }
+  return inv;
+}
+}  // namespace
+
 MatrixF LayerNorm::forward(const MatrixF& x) {
   const std::size_t n = x.cols();
   normalized_ = MatrixF(x.rows(), n);
   inv_std_.assign(x.rows(), 0.0f);
   MatrixF y(x.rows(), n);
-  const float* gamma = gamma_.value.data();
-  const float* beta = beta_.value.data();
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const float* row = x.data() + r * n;
-    float mean = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) mean += row[c];
-    mean /= static_cast<float>(n);
-    float var = 0.0f;
-    for (std::size_t c = 0; c < n; ++c) {
-      const float d = row[c] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(n);
-    const float inv = 1.0f / std::sqrt(var + kEps);
-    inv_std_[r] = inv;
-    float* nrow = normalized_.data() + r * n;
-    float* yrow = y.data() + r * n;
-    for (std::size_t c = 0; c < n; ++c) {
-      nrow[c] = (row[c] - mean) * inv;
-      yrow[c] = nrow[c] * gamma[c] + beta[c];
-    }
+    inv_std_[r] = layer_norm_row(x.data() + r * n, n, gamma_.value.data(),
+                                 beta_.value.data(), kEps,
+                                 normalized_.data() + r * n, y.data() + r * n);
   }
   return y;
+}
+
+void LayerNorm::infer(const MatrixF& x, MatrixF& y) const {
+  const std::size_t n = x.cols();
+  ensure_shape(y, x.rows(), n);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    layer_norm_row(x.data() + r * n, n, gamma_.value.data(), beta_.value.data(),
+                   kEps, nullptr, y.data() + r * n);
+  }
 }
 
 MatrixF LayerNorm::backward(const MatrixF& dy) {
@@ -315,10 +341,17 @@ void Embedding::backward(const MatrixF& dy) {
 // ---------------------------------------------------------------- MeanPool
 
 MatrixF MeanPoolRows::forward(const MatrixF& x) {
-  assert(group_ > 0 && x.rows() % group_ == 0);
   in_rows_ = x.rows();
+  MatrixF y;
+  infer(x, y);
+  return y;
+}
+
+void MeanPoolRows::infer(const MatrixF& x, MatrixF& y) const {
+  assert(group_ > 0 && x.rows() % group_ == 0);
   const std::size_t out_rows = x.rows() / group_;
-  MatrixF y(out_rows, x.cols());
+  ensure_shape(y, out_rows, x.cols());
+  y.fill(0.0f);
   const float scale = 1.0f / static_cast<float>(group_);
   for (std::size_t r = 0; r < out_rows; ++r) {
     float* yrow = y.data() + r * y.cols();
@@ -327,7 +360,6 @@ MatrixF MeanPoolRows::forward(const MatrixF& x) {
       for (std::size_t c = 0; c < x.cols(); ++c) yrow[c] += xrow[c] * scale;
     }
   }
-  return y;
 }
 
 MatrixF MeanPoolRows::backward(const MatrixF& dy) {

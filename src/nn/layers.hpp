@@ -5,8 +5,15 @@
 //  * activations are MatrixF with batch (or batch*seq) rows;
 //  * weight matrices are stored K x N (input-dim x output-dim), the same
 //    orientation the TW pruner and the GEMM substrate use;
-//  * forward() caches whatever backward() needs; backward(dy) returns dx
-//    and accumulates parameter gradients (call zero_grad between steps).
+//  * forward() is the training path: it caches whatever backward()
+//    needs; backward(dy) returns dx and accumulates parameter gradients
+//    (call zero_grad between steps);
+//  * infer(x, y), where a layer has one, is the inference kernel the
+//    served ExecGraph's host nodes run: the same arithmetic as
+//    forward() (so graph and forward() agree bit for bit), written into
+//    a caller-owned output that is sized once and then overwritten, with
+//    no per-run allocation and no backward cache — a layer's infer() is
+//    const and safe to run from concurrent graphs.
 
 #include <cstddef>
 #include <cstdint>
@@ -68,8 +75,9 @@ class Linear : public Layer {
   /// Adds this layer's y = x W + b to an execution graph: a GEMM node
   /// over the packed weight when one is installed (independent layers
   /// then overlap across scheduler streams), a host node running the
-  /// plain forward() otherwise.  Both produce exactly what forward()
-  /// produces.  The layer must outlive the graph.
+  /// dense master weight into its output slot otherwise (no input
+  /// cache).  Both produce exactly what forward() produces.  The layer
+  /// must outlive the graph.
   ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
                                  ExecGraph::SlotId out);
 
@@ -127,10 +135,14 @@ class ReLU : public Layer {
   MatrixF y_;
 };
 
+/// tanh-form GELU through the one vectorised kernel (gemm/fused_ops);
+/// backward() differentiates the tanh form analytically.
 class Gelu : public Layer {
  public:
-  MatrixF forward(const MatrixF& x) override;
+  MatrixF forward(const MatrixF& x) override;  ///< caches x for backward()
   MatrixF backward(const MatrixF& dy) override;
+  /// y = gelu(x) into `y` (sized to x's shape; may be x itself).
+  static void infer(const MatrixF& x, MatrixF& y);
 
  private:
   MatrixF x_;
@@ -144,6 +156,9 @@ class LayerNorm : public Layer {
   MatrixF forward(const MatrixF& x) override;
   MatrixF backward(const MatrixF& dy) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
+  /// Inference: the normalised, scaled rows of x into `y` (sized to x's
+  /// shape, distinct from x), without the normalized_/inv_std_ caches.
+  void infer(const MatrixF& x, MatrixF& y) const;
 
  private:
   Param gamma_, beta_;
@@ -181,6 +196,8 @@ class MeanPoolRows : public Layer {
   explicit MeanPoolRows(std::size_t group) : group_(group) {}
   MatrixF forward(const MatrixF& x) override;
   MatrixF backward(const MatrixF& dy) override;
+  /// Inference: the pooled rows into `y` (sized to rows / group x cols).
+  void infer(const MatrixF& x, MatrixF& y) const;
 
  private:
   std::size_t group_;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "core/tew.hpp"
 #include "core/tile_exec.hpp"
 #include "gemm/dense_gemm.hpp"
@@ -59,7 +64,13 @@ TEST(Integration, TewExecutionEqualsMaskedDense) {
 
 TEST(Integration, MeasuredCpuTimeDropsWithSparsity) {
   // The substrate must show real skipped work: TW-75% masked GEMM should
-  // run measurably faster than TW-0%.
+  // run measurably faster than TW-0%.  Both sides run on one OpenMP
+  // thread, and their repetitions alternate, so other processes sharing
+  // the cores slow both sides alike instead of whichever runs second.
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
   Rng rng(3);
   const std::size_t m = 256, k = 768, n = 768;
   MatrixF a(m, k);
@@ -69,19 +80,27 @@ TEST(Integration, MeasuredCpuTimeDropsWithSparsity) {
   MatrixF w(k, n);
   fill_normal(w, rng);
 
-  auto time_at = [&](double sparsity_level) {
-    const TilePattern p = tw_pattern_from_scores(scores, sparsity_level, 128);
-    const auto tiles = compact_tiles(w, p);
-    MatrixF c(m, n);
-    return time_best_of(
-        [&] {
-          c.fill(0.0f);
-          masked_gemm_all(a, tiles, c);
-        },
-        3);
+  const auto dense_tiles =
+      compact_tiles(w, tw_pattern_from_scores(scores, 0.0, 128));
+  const auto sparse_tiles =
+      compact_tiles(w, tw_pattern_from_scores(scores, 0.75, 128));
+  MatrixF c(m, n);
+  auto time_once = [&](const std::vector<MaskedTile>& tiles) {
+    Stopwatch sw;
+    c.fill(0.0f);
+    masked_gemm_all(a, tiles, c);
+    return sw.seconds();
   };
-  const double dense_time = time_at(0.0);
-  const double sparse_time = time_at(0.75);
+  time_once(dense_tiles);  // warm-up: page-in, caches, packing scratch
+  time_once(sparse_tiles);
+  double dense_time = 1e300, sparse_time = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    dense_time = std::min(dense_time, time_once(dense_tiles));
+    sparse_time = std::min(sparse_time, time_once(sparse_tiles));
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
   EXPECT_LT(sparse_time, dense_time * 0.7);
 }
 
