@@ -2,10 +2,10 @@
 // format-tagged artifact holding every layer's complete PackedWeight —
 // compacted tiles, CSR arrays, int8 tiles *with their scales*.  The
 // inference side loads the artifact straight into execution backends
-// through the BackendRegistry loader table and serves requests without
-// re-pruning, re-packing or re-quantising anything.  This is the flow a
-// production integration of TW would use: prune once, ship the packed
-// bytes, serve forever.
+// (load_packed_weight dispatches on each stored format name) and
+// serves requests without re-pruning, re-packing or re-quantising
+// anything.  This is the flow a production integration of TW would
+// use: prune once, ship the packed bytes, serve forever.
 
 #include <cmath>
 #include <cstdio>

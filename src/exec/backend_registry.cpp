@@ -63,64 +63,6 @@ std::map<std::string, BackendFactory>& registry() {
   return backends;
 }
 
-std::map<std::string, BackendLoader>& loader_registry() {
-  // tw/tew/csr payloads are self-describing (nested TSTL/TSTP/TSCR/TSCC
-  // headers carry the wire version), so their loaders ignore `layout`;
-  // the headerless dense and tw-int8 payloads need it threaded through.
-  static std::map<std::string, BackendLoader> loaders = {
-      {"dense",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout layout) {
-         return std::unique_ptr<PackedWeight>(
-             DenseWeight::load(in, k, n, layout));
-       }},
-      {"tw",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout) {
-         return std::unique_ptr<PackedWeight>(TwWeight::load(in, k, n));
-       }},
-      {"tew",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout) {
-         return std::unique_ptr<PackedWeight>(TewWeight::load(in, k, n));
-       }},
-      {"csr",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout) {
-         return std::unique_ptr<PackedWeight>(CsrWeight::load(in, k, n));
-       }},
-      {"tw-int8",
-       [](std::istream& in, std::size_t k, std::size_t n, wire::Layout layout) {
-         return std::unique_ptr<PackedWeight>(
-             QuantTwWeight::load(in, k, n, layout));
-       }},
-  };
-  return loaders;
-}
-
-std::map<std::string, BackendViewLoader>& view_loader_registry() {
-  static std::map<std::string, BackendViewLoader> loaders = {
-      {"dense",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(DenseWeight::load_view(in, k, n));
-       }},
-      {"tw",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(TwWeight::load_view(in, k, n));
-       }},
-      {"tew",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(TewWeight::load_view(in, k, n));
-       }},
-      {"csr",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(CsrWeight::load_view(in, k, n));
-       }},
-      {"tw-int8",
-       [](MappedArtifact& in, std::size_t k, std::size_t n) {
-         return std::unique_ptr<PackedWeight>(
-             QuantTwWeight::load_view(in, k, n));
-       }},
-  };
-  return loaders;
-}
-
 }  // namespace
 
 void register_backend(const std::string& format, BackendFactory factory) {
@@ -152,14 +94,6 @@ std::unique_ptr<PackedWeight> make_packed(const std::string& format,
   return it->second(weights, options);
 }
 
-void register_backend_loader(const std::string& format, BackendLoader loader) {
-  loader_registry()[format] = std::move(loader);
-}
-
-bool backend_loader_registered(const std::string& format) {
-  return loader_registry().count(format) != 0;
-}
-
 namespace {
 
 /// Shared post-load validation for both load paths.
@@ -175,6 +109,11 @@ void check_loaded_weight(const PackedWeight* weight, const std::string& format,
 // Every on-wire index is int32, so no legitimate artifact can name a
 // larger dimension — reject before any k- or n-sized allocation.
 constexpr std::uint64_t kMaxDim = std::numeric_limits<std::int32_t>::max();
+
+// The formats an artifact may name — the built-ins, each of which both
+// the stream and the mapped loader below dispatch on (sorted, as the
+// unknown-format errors list them).
+constexpr const char* kLoadableFormats = "csr, dense, tew, tw, tw-int8";
 
 }  // namespace
 
@@ -195,29 +134,29 @@ std::unique_ptr<PackedWeight> load_packed_weight(std::istream& in) {
     throw std::runtime_error(
         "load_packed_weight: corrupt artifact dimensions");
 
-  const auto& loaders = loader_registry();
-  const auto it = loaders.find(format);
-  if (it == loaders.end()) {
-    std::string known;
-    for (const auto& [name, loader] : loaders)
-      known += (known.empty() ? "" : ", ") + name;
+  // tw/tew/csr payloads are self-describing (nested TSTL/TSTP/TSCR/TSCC
+  // headers carry the wire version); the headerless dense and tw-int8
+  // payloads need the container layout threaded through.
+  const auto rows = static_cast<std::size_t>(k);
+  const auto cols = static_cast<std::size_t>(n);
+  std::unique_ptr<PackedWeight> weight;
+  if (format == "dense") {
+    weight = DenseWeight::load(in, rows, cols, layout);
+  } else if (format == "tw") {
+    weight = TwWeight::load(in, rows, cols);
+  } else if (format == "tew") {
+    weight = TewWeight::load(in, rows, cols);
+  } else if (format == "csr") {
+    weight = CsrWeight::load(in, rows, cols);
+  } else if (format == "tw-int8") {
+    weight = QuantTwWeight::load(in, rows, cols, layout);
+  } else {
     throw std::runtime_error("load_packed_weight: unknown weight format '" +
-                             format + "' in artifact (loadable: " + known +
-                             ")");
+                             format + "' in artifact (loadable: " +
+                             kLoadableFormats + ")");
   }
-  std::unique_ptr<PackedWeight> weight = it->second(
-      in, static_cast<std::size_t>(k), static_cast<std::size_t>(n), layout);
   check_loaded_weight(weight.get(), format, k, n);
   return weight;
-}
-
-void register_backend_view_loader(const std::string& format,
-                                  BackendViewLoader loader) {
-  view_loader_registry()[format] = std::move(loader);
-}
-
-bool backend_view_loader_registered(const std::string& format) {
-  return view_loader_registry().count(format) != 0;
 }
 
 std::unique_ptr<PackedWeight> load_packed_weight_mapped(MappedArtifact& in) {
@@ -240,18 +179,24 @@ std::unique_ptr<PackedWeight> load_packed_weight_mapped(MappedArtifact& in) {
     throw std::runtime_error(
         "load_packed_weight: corrupt artifact dimensions");
 
-  const auto& loaders = view_loader_registry();
-  const auto it = loaders.find(format);
-  if (it == loaders.end()) {
-    std::string known;
-    for (const auto& [name, loader] : loaders)
-      known += (known.empty() ? "" : ", ") + name;
-    throw std::runtime_error("load_packed_weight: no view-loader for format '" +
-                             format + "' (mappable: " + known +
-                             "); use the stream loader");
+  const auto rows = static_cast<std::size_t>(k);
+  const auto cols = static_cast<std::size_t>(n);
+  std::unique_ptr<PackedWeight> weight;
+  if (format == "dense") {
+    weight = DenseWeight::load_view(in, rows, cols);
+  } else if (format == "tw") {
+    weight = TwWeight::load_view(in, rows, cols);
+  } else if (format == "tew") {
+    weight = TewWeight::load_view(in, rows, cols);
+  } else if (format == "csr") {
+    weight = CsrWeight::load_view(in, rows, cols);
+  } else if (format == "tw-int8") {
+    weight = QuantTwWeight::load_view(in, rows, cols);
+  } else {
+    throw std::runtime_error("load_packed_weight: unknown weight format '" +
+                             format + "' in artifact (loadable: " +
+                             kLoadableFormats + ")");
   }
-  std::unique_ptr<PackedWeight> weight =
-      it->second(in, static_cast<std::size_t>(k), static_cast<std::size_t>(n));
   check_loaded_weight(weight.get(), format, k, n);
   return weight;
 }

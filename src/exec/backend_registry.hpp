@@ -14,7 +14,6 @@
 
 #include "core/tile_pattern.hpp"
 #include "exec/packed_weight.hpp"
-#include "io/wire.hpp"
 #include "tensor/matrix.hpp"
 
 namespace tilesparse {
@@ -64,26 +63,11 @@ std::unique_ptr<PackedWeight> make_packed(const std::string& format,
 
 // ------------------------------------------------------- artifact loading
 //
-// The deserialization side of the registry: a format-tagged artifact
-// (written by write_packed_weight in io/serialize) names the backend
-// that must reconstruct it, so the loader table is the registry's dual.
-// Built-in formats register loaders automatically; custom backends that
-// override PackedWeight::save() plug theirs in here.
-
-/// Reads one backend payload written by PackedWeight::save().  `k`/`n`
-/// come from the container header; loaders must validate the payload
-/// against them and throw std::runtime_error on disagreement.  `layout`
-/// is the container's wire layout — formats whose payload is headerless
-/// (dense, tw-int8) need it; self-describing payloads may ignore it.
-using BackendLoader = std::function<std::unique_ptr<PackedWeight>(
-    std::istream& in, std::size_t k, std::size_t n, wire::Layout layout)>;
-
-/// Registers (or replaces) a loader.  Thread-compatible, like
-/// register_backend.
-void register_backend_loader(const std::string& format, BackendLoader loader);
-
-/// True when `format` has a registered loader.
-bool backend_loader_registered(const std::string& format);
+// The deserialization side: a format-tagged artifact (written by
+// write_packed_weight in io/serialize) names the backend that must
+// reconstruct it, and both loaders below dispatch on that name over the
+// five built-in formats.  A format added with register_backend packs
+// and executes, but cannot be loaded from an artifact.
 
 /// Reads one whole-PackedWeight container (magic, version, format name,
 /// k/n, payload) and dispatches on the stored format name.  Accepts
@@ -94,30 +78,10 @@ bool backend_loader_registered(const std::string& format);
 /// pipe cannot be pre-validated).
 std::unique_ptr<PackedWeight> load_packed_weight(std::istream& in);
 
-// ------------------------------------------------------ zero-copy loading
-//
-// The mmap dual of the loader table: view-loaders resolve a payload to
-// spans into a read-only mapping (io/mmap_file.hpp) instead of reading
-// it into owned storage.  Built-in formats register view-loaders
-// automatically; a format without one simply cannot be mapped (callers
-// fall back to the stream path).
-
-/// Reads one backend payload from a mapped artifact, borrowing bulk
-/// sections in place.  Same validation contract as BackendLoader.
-using BackendViewLoader = std::function<std::unique_ptr<PackedWeight>(
-    MappedArtifact& in, std::size_t k, std::size_t n)>;
-
-/// Registers (or replaces) a view-loader.  Thread-compatible, like
-/// register_backend.
-void register_backend_view_loader(const std::string& format,
-                                  BackendViewLoader loader);
-
-/// True when `format` has a registered view-loader.
-bool backend_view_loader_registered(const std::string& format);
-
-/// Parses one whole-PackedWeight container from a mapped artifact and
-/// dispatches on the stored format name, producing a weight whose bulk
-/// payload borrows the mapping (PackedWeight::borrows_storage()).
+/// The zero-copy dual: parses one whole-PackedWeight container from a
+/// mapped artifact (io/mmap_file.hpp) and dispatches on the stored
+/// format name, producing a weight whose bulk payload borrows the
+/// mapping (PackedWeight::borrows_storage()) instead of owning a copy.
 /// Requires a v2 (aligned-layout) artifact: v1 payloads are not
 /// alignment-padded, so mapping them is rejected with a message
 /// pointing at the stream loader.  Same error contract as

@@ -14,21 +14,21 @@
 // per-sequence exact while GEMMs run at batch width.
 //
 // GraphBatchEntry is the generic implementation: a builder callback
-// appends the model's nodes to a fresh ExecGraph for a given M, and a
-// small M-keyed LRU keeps the graphs for the batch sizes the policy
-// actually produces (slots are sized by their first writer, so one
-// graph per M reuses every buffer run to run; distinct Ms get distinct
-// graphs so no run ever resizes another's slots).  run() serializes
-// callers — model graphs and the layer caches their host nodes touch
-// are not concurrency-safe — which is exactly the batcher's execution
-// model: one leader runs per entry at a time.
+// appends the model's nodes to one ExecGraph, built once at
+// construction, and every row count runs through it.  No node depends
+// on M — the paper's fixed plan: tiles are compacted offline and the
+// same launches serve every input — and slots keep their storage
+// across row counts (ensure_shape reshapes in place when the new
+// shape fits), so once the largest batch has run, no run allocates a
+// slot again.  run() serializes callers — the graph's slots are
+// shared state — which is exactly the batcher's execution model: one
+// leader runs per entry at a time.
 //
 // cost(rows) is the byte·MAC figure the tenant scheduler charges per
 // member (see serve/batch/tenant_scheduler.hpp).
 
 #include <cstddef>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,14 +73,15 @@ class BatchEntry {
   double cost(std::size_t rows) const noexcept;
 };
 
-/// Generic graph-backed entry with an M-keyed graph LRU.
+/// Generic graph-backed entry: one ExecGraph serves every row count.
 class GraphBatchEntry : public BatchEntry {
  public:
-  /// Appends the model's nodes to `graph` for `rows` input rows: reads
-  /// the returned-by-reference input slot (marked input by the entry),
-  /// returns the output slot (marked output by the entry).
-  using Builder = std::function<ExecGraph::SlotId(
-      ExecGraph& graph, ExecGraph::SlotId input, std::size_t rows)>;
+  /// Appends the model's nodes to `graph`: reads `input` (marked input
+  /// by the entry), returns the output slot (marked output by the
+  /// entry).  Runs once, in the constructor; the nodes must serve any
+  /// row count.
+  using Builder = std::function<ExecGraph::SlotId(ExecGraph& graph,
+                                                  ExecGraph::SlotId input)>;
 
   struct Config {
     std::string name;
@@ -116,21 +117,12 @@ class GraphBatchEntry : public BatchEntry {
     return config_.weight_bytes;
   }
 
-  /// Distinct-M graphs currently cached (diagnostics).
-  std::size_t cached_graphs() const;
-
  private:
-  struct CachedGraph {
-    std::size_t rows = 0;
-    std::unique_ptr<ExecGraph> graph;
-    ExecGraph::SlotId input = 0;
-    ExecGraph::SlotId output = 0;
-  };
-  CachedGraph& graph_for(std::size_t rows);
-
   Config config_;
-  mutable std::mutex mutex_;  ///< one run at a time; guards the cache
-  std::list<CachedGraph> graphs_;  ///< front = most recently used
+  std::mutex mutex_;  ///< one run at a time: the graph's slots are shared
+  ExecGraph graph_;
+  ExecGraph::SlotId input_ = 0;
+  ExecGraph::SlotId output_ = 0;
 };
 
 /// A single-GEMM entry over one packed weight (out = in * weight

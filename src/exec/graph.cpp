@@ -31,11 +31,13 @@ void ExecGraph::check_slot(SlotId id, const char* what) const {
 void ExecGraph::mark_input(SlotId id) {
   check_slot(id, "mark_input");
   slots_[id].is_input = true;
+  validated_ = false;
 }
 
 void ExecGraph::mark_output(SlotId id) {
   check_slot(id, "mark_output");
   slots_[id].is_output = true;
+  validated_ = false;
 }
 
 void ExecGraph::link(NodeId node) {
@@ -91,6 +93,7 @@ ExecGraph::NodeId ExecGraph::add_gemm(std::string name,
   nodes_.push_back(std::move(node));
   const NodeId id = nodes_.size() - 1;
   link(id);
+  validated_ = false;
   return id;
 }
 
@@ -110,6 +113,7 @@ ExecGraph::NodeId ExecGraph::add_host(std::string name,
   nodes_.push_back(std::move(node));
   const NodeId id = nodes_.size() - 1;
   link(id);
+  validated_ = false;
   return id;
 }
 
@@ -125,6 +129,7 @@ void ExecGraph::add_dep(NodeId node, NodeId before) {
     deps.push_back(before);
     nodes_[before].dependents.push_back(node);
   }
+  validated_ = false;
 }
 
 std::size_t ExecGraph::max_gemm_width() const {
@@ -191,9 +196,7 @@ void ExecGraph::execute_node(NodeId id) {
   }
   const MatrixF& a = slot(node.in);
   MatrixF& c = slot(node.out);
-  if (c.rows() != a.rows() || c.cols() != node.weight->n()) {
-    c = MatrixF(a.rows(), node.weight->n());
-  }
+  ensure_shape(c, a.rows(), node.weight->n());
   node.weight->matmul(node.ctx, a, c);
   if (node.bias) add_row_bias(c, *node.bias);
 }
@@ -206,9 +209,11 @@ void ExecGraph::poison_slots() {
   bool any_input = false;
   for (const Slot& slot : slots_) any_input = any_input || slot.is_input;
   if (!any_input) return;
+  // The whole capacity, not just the current shape: a writer at a
+  // larger batch size reshapes in place over the tail too.
   for (Slot& slot : slots_) {
     if (slot.is_input) continue;
-    poison_nan(slot.buffer.data(), slot.buffer.size());
+    poison_nan(slot.buffer.data(), slot.buffer.capacity());
   }
 #endif
 }

@@ -22,17 +22,19 @@
 // (exec/validate.hpp) audits the result — every slot-implied hazard
 // must be covered by some dependency path, the graph must be acyclic,
 // and shapes must be consistent — and the scheduler runs that audit
-// once per graph before the first dispatch.
+// before the first dispatch, and again after any edit to the graph.
 //
 // Slots are plain MatrixF buffers owned by the graph.  Their shapes
 // are set by whoever writes them (gemm nodes size their output from
-// the input rows and the weight's N), so one graph serves any batch
-// size.  Slots fed by the caller before run() are declared with
-// mark_input(); slots the caller reads afterwards with mark_output()
-// — the verifier uses both to tell external I/O from dangling reads
-// and dead stores.  A graph may be run repeatedly; it is cheap to
-// build and holds non-owning weight refs, so rebuilding after
-// re-packing is the expected pattern.
+// the input rows and the weight's N) through ensure_shape, which keeps
+// a slot's storage whenever the new shape fits: one graph serves every
+// batch size, and once it has run at the largest it allocates no slot
+// storage again.  Slots fed by the caller before run() are declared
+// with mark_input(); slots the caller reads afterwards with
+// mark_output() — the verifier uses both to tell external I/O from
+// dangling reads and dead stores.  A graph may be run repeatedly; it
+// is cheap to build and holds non-owning weight refs, so rebuilding
+// after re-packing is the expected pattern.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,6 +134,14 @@ class ExecGraph {
   const std::vector<Node>& nodes() const noexcept { return nodes_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
 
+  /// Whether validate_graph() has passed this graph since its last
+  /// edit.  Every add_gemm/add_host/add_dep/mark_input/mark_output
+  /// clears the mark; the scheduler sets it after a clean audit, so a
+  /// graph is audited once, not once per run — and a graph that grows
+  /// after its first run is audited again.
+  bool validated() const noexcept { return validated_; }
+  void mark_validated() noexcept { validated_ = true; }
+
   /// Count of GEMM nodes with no dependency on one another — an upper
   /// bound on useful stream overlap (diagnostic for benches/tests).
   std::size_t max_gemm_width() const;
@@ -170,6 +180,7 @@ class ExecGraph {
 
   std::uint64_t build_id_ = 0;
   bool auto_deps_ = true;
+  bool validated_ = false;
   std::vector<Slot> slots_;
   std::vector<Node> nodes_;
 };

@@ -55,8 +55,8 @@ std::unique_ptr<PackedWeight> PackedWeight::shard_cols(std::size_t,
 void PackedWeight::save(std::ostream&, wire::Layout) const {
   throw std::logic_error(std::string("PackedWeight::save: format '") +
                          std::string(format()) +
-                         "' has no serializer (override save() and register "
-                         "a loader with register_backend_loader)");
+                         "' has no serializer (artifacts hold the built-in "
+                         "formats only)");
 }
 
 void PackedWeight::matmul(const ExecContext& ctx, const MatrixF& a,

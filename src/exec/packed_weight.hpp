@@ -61,10 +61,11 @@ class PackedWeight {
   /// written by write_packed_weight (io/serialize); `layout` is the
   /// container's wire layout and must govern the payload too (v2 pads
   /// bulk payloads to 64-byte file offsets so they mmap in place).
-  /// The matching load factory is registered with
-  /// register_backend_loader.  The default throws std::logic_error so
-  /// execution-only custom backends keep working until they opt into
-  /// serialization.
+  /// The matching loaders are load_packed_weight and
+  /// load_packed_weight_mapped (exec/backend_registry.hpp), which
+  /// dispatch over the built-in formats.  The default throws
+  /// std::logic_error: a custom backend added with register_backend
+  /// executes but has no artifact form.
   virtual void save(std::ostream& out, wire::Layout layout = {}) const;
 
   /// True when this weight's payload borrows an mmap'd artifact

@@ -1,6 +1,5 @@
 #include "exec/row_stage.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -21,12 +20,9 @@ const MatrixF& RowStage::gather(const std::vector<const MatrixF*>& parts) {
     }
     total_rows += part->rows();
   }
-  if (total_rows > capacity_rows_ || buffer_.cols() != cols) {
-    // Grow-only: the staged buffer is reused across flushes, so steady
-    // traffic stops allocating once the widest batch has been seen.
-    capacity_rows_ = std::max(capacity_rows_, total_rows);
-    buffer_ = MatrixF(capacity_rows_, cols);
-  }
+  // The staged buffer keeps its storage across flushes, so steady
+  // traffic stops allocating once the widest batch has been seen.
+  ensure_shape(buffer_, total_rows, cols);
   slices_.clear();
   slices_.reserve(parts.size());
   std::size_t row = 0;
@@ -36,10 +32,7 @@ const MatrixF& RowStage::gather(const std::vector<const MatrixF*>& parts) {
     slices_.push_back(Slice{row, part->rows()});
     row += part->rows();
   }
-  // Hand the caller a matrix whose rows() is exactly the batch: borrow
-  // the staging storage rather than copying it.
-  view_ = MatrixF::borrowed(buffer_.data(), total_rows, cols);
-  return view_;
+  return buffer_;
 }
 
 MatrixF RowStage::scatter(const MatrixF& batched, const Slice& slice) {

@@ -40,7 +40,7 @@ class RowStage {
   /// std::invalid_argument on an empty part list or a column mismatch.
   const MatrixF& gather(const std::vector<const MatrixF*>& parts);
 
-  const MatrixF& staged() const noexcept { return view_; }
+  const MatrixF& staged() const noexcept { return buffer_; }
   const std::vector<Slice>& slices() const noexcept { return slices_; }
 
   /// Copies rows [slice.row0, slice.row0 + slice.rows) of `batched`
@@ -57,9 +57,7 @@ class RowStage {
                           std::size_t group_out);
 
  private:
-  MatrixF buffer_;  ///< grow-only staging storage (capacity_rows_ rows)
-  MatrixF view_;    ///< borrowed batch-rows view over buffer_
-  std::size_t capacity_rows_ = 0;
+  MatrixF buffer_;  ///< the staged batch; storage sized by the widest
   std::vector<Slice> slices_;
 };
 

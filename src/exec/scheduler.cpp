@@ -187,19 +187,14 @@ void ExecScheduler::run(ExecGraph& graph) {
     stats_ = RunStats{};
     return;
   }
-  if (options_.validate &&
-      std::find(validated_build_ids_.begin(), validated_build_ids_.end(),
-                graph.build_id()) == validated_build_ids_.end()) {
-    // One static pass per graph: def-use, hazard coverage, acyclicity,
-    // shapes, shard plans.  Throws GraphValidationError (all findings
-    // listed) instead of dispatching a malformed plan.  The validated
-    // set is a bounded ring for the same reason the plan cache is an
-    // LRU: batching rotates several M-keyed graphs through one
-    // scheduler.
+  if (options_.validate && !graph.validated()) {
+    // One static pass per graph edit: def-use, hazard coverage,
+    // acyclicity, shapes, shard plans.  Throws GraphValidationError
+    // (all findings listed) instead of dispatching a malformed plan.
+    // The mark lives on the graph — the audit reads no scheduler
+    // option — so one pass serves every scheduler that runs it.
     validate_graph_or_throw(graph);
-    if (validated_build_ids_.size() >= 2 * kPlanCacheCapacity)
-      validated_build_ids_.erase(validated_build_ids_.begin());
-    validated_build_ids_.push_back(graph.build_id());
+    graph.mark_validated();
   }
   graph.poison_slots();  // guards builds: NaN out every non-input slot
   if (streams() <= 1) {
@@ -228,17 +223,14 @@ void ExecScheduler::execute_task(ExecGraph& graph, Plan& plan,
     Shard& shard =
         plan.node_plans[task.node].shards[static_cast<std::size_t>(task.shard)];
     const MatrixF& a = graph.slot(node.in);
-    const std::size_t width = shard.n1 - shard.n0;
-    if (shard.scratch.rows() != a.rows() || shard.scratch.cols() != width)
-      shard.scratch = MatrixF(a.rows(), width);
+    ensure_shape(shard.scratch, a.rows(), shard.n1 - shard.n0);
     shard.weight->matmul(node.ctx, a, shard.scratch);
     return;
   }
   // Join: stitch the shard columns into the output slot, then bias.
   const MatrixF& a = graph.slot(node.in);
   MatrixF& c = graph.slot(node.out);
-  if (c.rows() != a.rows() || c.cols() != node.weight->n())
-    c = MatrixF(a.rows(), node.weight->n());
+  ensure_shape(c, a.rows(), node.weight->n());
   for (const Shard& shard : plan.node_plans[task.node].shards) {
     const std::size_t width = shard.n1 - shard.n0;
     for (std::size_t r = 0; r < c.rows(); ++r) {

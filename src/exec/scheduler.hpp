@@ -43,10 +43,11 @@ struct SchedulerOptions {
   /// Concurrent worker streams.  1 = single-stream reference (serial,
   /// no queue, no shards); 0 = the pool's worker count.
   std::size_t streams = 0;
-  /// Statically verify the graph (exec/validate.hpp) once per graph
-  /// build id before the first dispatch — def-use, hazard-edge
-  /// completeness, acyclicity, shapes, shard plans.  run() throws
-  /// GraphValidationError listing every finding on a malformed graph.
+  /// Statically verify the graph (exec/validate.hpp) before its first
+  /// dispatch and again after any edit (ExecGraph::validated()) —
+  /// def-use, hazard-edge completeness, acyclicity, shapes, shard
+  /// plans.  run() throws GraphValidationError listing every finding
+  /// on a malformed graph.
   bool validate = true;
   /// Split very wide GEMM outputs into column shards.  All five
   /// built-in formats slice exactly (tile formats carry kept_rows and
@@ -108,7 +109,7 @@ class ExecScheduler {
   struct Shard {
     std::unique_ptr<PackedWeight> weight;  ///< columns [n0, n1) of the node's weight
     std::size_t n0 = 0, n1 = 0;
-    MatrixF scratch;  ///< m x (n1 - n0), reused across runs
+    MatrixF scratch;  ///< m x (n1 - n0), storage kept across runs
   };
   struct NodePlan {
     std::vector<Shard> shards;  ///< empty = execute the node whole
@@ -148,17 +149,15 @@ class ExecScheduler {
   // Plan cache: shard slices repack weight columns and the task DAG
   // expansion allocates, so both are built once per (graph build id,
   // node count, stream count) — the serving hot path re-runs the same
-  // graph per request.  A small LRU (not a single entry) because the
-  // batching front end rotates a handful of M-keyed graphs through one
-  // worker's scheduler; one slot would replan on every alternation.
+  // graph per request.  A small LRU (not a single entry) because one
+  // worker's scheduler serves every registered entry, one graph each;
+  // one slot would replan whenever requests alternate between entries.
   // Models allocate a fresh ExecGraph (fresh build id) whenever weights
   // are re-packed; the node count catches a graph that grew new nodes
   // in place.
   static constexpr std::size_t kPlanCacheCapacity = 8;
   std::vector<std::unique_ptr<Plan>> plan_cache_;
   std::uint64_t plan_stamp_ = 0;
-  /// Build ids already validated by this scheduler (bounded ring).
-  std::vector<std::uint64_t> validated_build_ids_;
   RunStats stats_;
 };
 

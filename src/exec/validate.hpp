@@ -33,7 +33,7 @@
 //    scheduler's *actual* cached plans.
 //
 // Findings carry a severity: errors make validate_graph_or_throw (and
-// the scheduler, which validates once per graph build id) throw
+// the scheduler, which validates a graph once per edit) throw
 // GraphValidationError listing everything found; warnings ride along
 // in the list but never throw.
 

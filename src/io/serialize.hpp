@@ -83,9 +83,9 @@ CscStore read_csc(MappedArtifact& in);
 // format()), k, n, then a backend-owned payload written by
 // PackedWeight::save() — dense panels, TW/TEW tiles + pattern, CSR
 // arrays, or int8 tiles *with their scales*, so loading never re-packs
-// or re-quantises.  Reading dispatches on the stored format name
-// through the BackendRegistry loader table (see load_packed_weight in
-// exec/backend_registry.hpp); unknown formats throw std::runtime_error.
+// or re-quantises.  Reading dispatches on the stored format name (see
+// load_packed_weight in exec/backend_registry.hpp); unknown formats
+// throw std::runtime_error.
 
 void write_packed_weight(std::ostream& out, const PackedWeight& weight,
                          wire::Layout layout = {});

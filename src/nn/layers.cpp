@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -70,13 +71,17 @@ ExecGraph::NodeId Linear::add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
     return graph.add_gemm(weight_.name, packed_.get(), in, out, ctx_,
                           &bias_.value);
   }
+  // forward()'s dense branch, into the slot, over panels packed once
+  // here rather than on every run (dense_gemm(x, W) is exactly
+  // pack_dense_b(W) followed by this packed call, so the bits match).
+  auto panels =
+      std::make_shared<const PackedDenseB>(pack_dense_b(weight_.value));
   return graph.add_host(weight_.name, {in}, {out},
-                        [this, in, out](ExecGraph& g) {
-                          // forward()'s dense branch, into the slot.
+                        [this, panels, in, out](ExecGraph& g) {
                           const MatrixF& x = g.slot(in);
                           MatrixF& y = g.slot(out);
-                          ensure_shape(y, x.rows(), weight_.value.cols());
-                          dense_gemm(x, weight_.value, y);
+                          ensure_shape(y, x.rows(), panels->n);
+                          dense_gemm(x, *panels, y);
                           add_row_bias(y, bias_.value);
                         });
 }

@@ -76,8 +76,9 @@ class Linear : public Layer {
   /// over the packed weight when one is installed (independent layers
   /// then overlap across scheduler streams), a host node running the
   /// dense master weight into its output slot otherwise (no input
-  /// cache).  Both produce exactly what forward() produces.  The layer
-  /// must outlive the graph.
+  /// cache; the weight is packed into GEMM panels here, once, so the
+  /// node sees the weight as it was when added).  Both produce exactly
+  /// what forward() produces.  The layer must outlive the graph.
   ExecGraph::NodeId add_to_graph(ExecGraph& graph, ExecGraph::SlotId in,
                                  ExecGraph::SlotId out);
 

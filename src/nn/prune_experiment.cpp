@@ -282,8 +282,9 @@ class BertTaskBase : public PruneTask {
   double evaluate() override {
     Rng eval_rng(9999);
     const TokenBatch batch = sample_eval(512, eval_rng);
-    // A fresh entry per call: its graphs bind the backends installed
-    // now, so no graph outlives a pack, clear or artifact load.
+    // A fresh entry per call: its graph binds the backends (and dense
+    // weights) current now, so no graph outlives a pack, clear, artifact
+    // load or training step.
     const std::unique_ptr<GraphBatchEntry> entry =
         make_bert_entry("eval", model_);
     SchedulerOptions options;

@@ -14,6 +14,11 @@
 // semantics are unchanged for every existing caller.  Mutating a
 // borrowed matrix through the non-const accessors is undefined (the
 // pages are mapped read-only); callers that need to write take a copy.
+//
+// An owning matrix remembers the capacity of its storage, so
+// ensure_shape() can give it a new shape in place whenever the new
+// size fits — how a graph slot serves every batch size with one
+// allocation sized by the largest.
 
 #include <cassert>
 #include <cstddef>
@@ -31,7 +36,10 @@ class Matrix {
   Matrix() = default;
 
   Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(allocate(rows * cols)) {
+      : rows_(rows),
+        cols_(cols),
+        capacity_(rows * cols),
+        data_(allocate(rows * cols)) {
     for (std::size_t i = 0; i < rows_ * cols_; ++i) data_[i] = T{};
   }
 
@@ -55,6 +63,7 @@ class Matrix {
   Matrix(Matrix&& other) noexcept
       : rows_(std::exchange(other.rows_, 0)),
         cols_(std::exchange(other.cols_, 0)),
+        capacity_(std::exchange(other.capacity_, 0)),
         data_(std::exchange(other.data_, nullptr)),
         owns_(std::exchange(other.owns_, true)) {}
 
@@ -70,6 +79,7 @@ class Matrix {
   void swap(Matrix& other) noexcept {
     std::swap(rows_, other.rows_);
     std::swap(cols_, other.cols_);
+    std::swap(capacity_, other.capacity_);
     std::swap(data_, other.data_);
     std::swap(owns_, other.owns_);
   }
@@ -81,6 +91,24 @@ class Matrix {
   std::size_t cols() const noexcept { return cols_; }
   std::size_t size() const noexcept { return rows_ * cols_; }
   bool empty() const noexcept { return size() == 0; }
+  /// Elements the owned storage holds (0 for a borrowed matrix).
+  std::size_t capacity() const noexcept { return capacity_; }
+
+  /// Gives `m` the shape rows x cols, keeping its storage when that
+  /// owns at least rows * cols elements and reallocating (zero-filled)
+  /// otherwise; a borrowed matrix always becomes owning, so the caller
+  /// never writes through a read-only view.  Contents are unspecified
+  /// afterwards: the caller overwrites every element.  This is how
+  /// graph slots, shard scratch and host nodes size their outputs once
+  /// for the largest batch and then serve every smaller one in place.
+  friend void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
+    if (m.owns_ && rows * cols <= m.capacity_) {
+      m.rows_ = rows;
+      m.cols_ = cols;
+      return;
+    }
+    m = Matrix(rows, cols);
+  }
 
   T* data() noexcept { return data_; }
   const T* data() const noexcept { return data_; }
@@ -128,6 +156,7 @@ class Matrix {
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
+  std::size_t capacity_ = 0;  ///< owned elements; 0 when borrowed
   T* data_ = nullptr;
   bool owns_ = true;
 };

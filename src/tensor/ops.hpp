@@ -54,14 +54,6 @@ inline void add_row_bias(MatrixF& m, const MatrixF& bias) {
   }
 }
 
-/// Gives `m` the shape rows x cols, reallocating only when its shape
-/// differs — how inference host nodes size a graph slot once and then
-/// overwrite it on every run.  Contents are unspecified afterwards
-/// (zero when freshly allocated, the previous run's values otherwise).
-inline void ensure_shape(MatrixF& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) m = MatrixF(rows, cols);
-}
-
 /// Quantise every element through IEEE binary16 (tensor-core input path).
 void round_matrix_to_half(MatrixF& m);
 

@@ -1,5 +1,5 @@
 // Zero-copy artifact loading: the mmap path (MmapFile + MappedArtifact
-// + the BackendRegistry view-loader table) against the stream path it
+// + load_packed_weight_mapped) against the stream path it
 // mirrors.  Three properties are pinned here:
 //
 //  1. Equivalence — for every registered format, a weight loaded

@@ -161,36 +161,47 @@ TEST(GraphBatchEntryTest, BatchedRowsBitIdenticalToSoloAllFormats) {
   }
 }
 
-TEST(GraphBatchEntryTest, KeepsMKeyedGraphCache) {
+TEST(GraphBatchEntryTest, OneGraphServesEveryRowCount) {
+  // One graph, its slots reshaped in place: M grows, shrinks, grows
+  // past the earlier maximum and shrinks again, and every run must
+  // equal a fresh entry's first run at that M bit for bit — no stale
+  // rows or columns from a larger earlier run leak into a smaller one.
   const MatrixF w = random_matrix(16, 32, 12);
-  const auto packed = pack_for_batch_test("dense", w, 16);
-  GraphBatchEntry::Config config;
-  config.name = "cached";
-  config.input_cols = 16;
-  config.output_cols = 32;
-  config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in, std::size_t) {
-    const auto out = g.add_slot("out");
-    g.add_gemm("gemm", packed.get(), in, out);
-    return out;
-  };
-  GraphBatchEntry entry(std::move(config));
-  ExecScheduler scheduler;
-  const MatrixF input12 = random_matrix(12, 16, 32);
-  entry.run(scheduler, random_matrix(6, 16, 31));
-  const MatrixF reference12 = entry.run(scheduler, input12);
-  entry.run(scheduler, random_matrix(18, 16, 33));
-  entry.run(scheduler, random_matrix(24, 16, 34));
-  EXPECT_EQ(entry.cached_graphs(), 4u);
-  // Re-running an already-cached M must not grow the cache...
-  entry.run(scheduler, random_matrix(6, 16, 35));
-  EXPECT_EQ(entry.cached_graphs(), 4u);
-  // ...and a fifth M evicts the least recently used one (12) instead of
-  // growing past capacity.
-  entry.run(scheduler, random_matrix(30, 16, 36));
-  EXPECT_EQ(entry.cached_graphs(), 4u);
-  // An evicted-and-rebuilt M still computes the same bits.
-  EXPECT_TRUE(bit_identical(entry.run(scheduler, input12), reference12));
-  EXPECT_EQ(entry.cached_graphs(), 4u);
+  const MatrixF bias = random_matrix(1, 32, 13);
+  for (const std::string& format : {std::string("dense"), std::string("tw")}) {
+    const auto packed = pack_for_batch_test(format, w, 16);
+    const auto make_entry = [&packed, &bias] {
+      GraphBatchEntry::Config config;
+      config.name = "one-graph";
+      config.input_cols = 16;
+      config.output_cols = 32;
+      config.group_rows_in = 6;
+      config.builder = [&packed, &bias](ExecGraph& g, ExecGraph::SlotId in) {
+        const auto hidden = g.add_slot("hidden");
+        g.add_gemm("gemm", packed.get(), in, hidden, ExecContext{}, &bias);
+        const auto out = g.add_slot("out");
+        g.add_host("double", {hidden}, {out}, [hidden, out](ExecGraph& graph) {
+          const MatrixF& x = graph.slot(hidden);
+          MatrixF& y = graph.slot(out);
+          ensure_shape(y, x.rows(), x.cols());
+          for (std::size_t i = 0; i < x.size(); ++i)
+            y.data()[i] = 2.0f * x.data()[i];
+        });
+        return out;
+      };
+      return GraphBatchEntry(std::move(config));
+    };
+    GraphBatchEntry entry = make_entry();
+    ExecScheduler scheduler;
+    std::uint64_t seed = 30;
+    for (const std::size_t rows : {6u, 12u, 18u, 24u, 6u, 30u, 12u}) {
+      const MatrixF input = random_matrix(rows, 16, ++seed);
+      const MatrixF out = entry.run(scheduler, input);
+      GraphBatchEntry fresh = make_entry();
+      EXPECT_TRUE(bit_identical(out, fresh.run(scheduler, input)))
+          << format << " at " << rows << " rows";
+    }
+  }
 }
 
 TEST(GraphBatchEntryTest, RejectsMisshapenInput) {
@@ -201,7 +212,7 @@ TEST(GraphBatchEntryTest, RejectsMisshapenInput) {
   config.input_cols = 16;
   config.output_cols = 32;
   config.group_rows_in = 4;
-  config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in, std::size_t) {
+  config.builder = [&packed](ExecGraph& g, ExecGraph::SlotId in) {
     const auto out = g.add_slot("out");
     g.add_gemm("gemm", packed.get(), in, out);
     return out;

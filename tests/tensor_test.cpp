@@ -39,6 +39,54 @@ TEST(Matrix, MoveTransfersOwnership) {
   EXPECT_EQ(a.rows(), 0u);
 }
 
+TEST(Matrix, EnsureShapeKeepsStorageWithinCapacity) {
+  MatrixF m(4, 8);
+  const float* storage = m.data();
+  EXPECT_EQ(m.capacity(), 32u);
+
+  ensure_shape(m, 2, 8);  // shrink
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 8u);
+  EXPECT_EQ(m.data(), storage);
+  ensure_shape(m, 3, 10);  // re-grow, new width, still within capacity
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 10u);
+  EXPECT_EQ(m.data(), storage);
+  ensure_shape(m, 4, 8);  // exactly the capacity
+  EXPECT_EQ(m.data(), storage);
+  EXPECT_EQ(m.capacity(), 32u);
+
+  ensure_shape(m, 5, 8);  // past capacity: fresh zero-filled storage
+  EXPECT_NE(m.data(), storage);
+  EXPECT_EQ(m.rows(), 5u);
+  EXPECT_EQ(m.capacity(), 40u);
+  for (float v : m.flat()) EXPECT_EQ(v, 0.0f);
+
+  // Moves carry the capacity; copies allocate just the shape.
+  ensure_shape(m, 1, 8);
+  const MatrixF copy = m;
+  EXPECT_EQ(copy.capacity(), 8u);
+  const MatrixF moved = std::move(m);
+  EXPECT_EQ(moved.capacity(), 40u);
+}
+
+TEST(Matrix, EnsureShapeMakesABorrowedMatrixOwning) {
+  MatrixF source(2, 3);
+  source.fill(1.5f);
+  MatrixF view = MatrixF::borrowed(source.data(), 2, 3);
+  EXPECT_TRUE(view.borrows());
+  EXPECT_EQ(view.capacity(), 0u);
+  ensure_shape(view, 2, 3);  // same shape, but never written in place
+  EXPECT_FALSE(view.borrows());
+  EXPECT_NE(view.data(), source.data());
+  view.fill(-1.0f);
+  for (float v : source.flat()) EXPECT_EQ(v, 1.5f);
+  MatrixF narrower = MatrixF::borrowed(source.data(), 1, 3);
+  ensure_shape(narrower, 1, 2);  // a smaller shape does not borrow either
+  EXPECT_FALSE(narrower.borrows());
+  EXPECT_NE(narrower.data(), source.data());
+}
+
 TEST(Matrix, DataIsCacheLineAligned) {
   MatrixF m(5, 7);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % 64, 0u);

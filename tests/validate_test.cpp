@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -276,7 +277,7 @@ TEST(ValidateTest, SchedulerRejectsMalformedGraphBeforeDispatch) {
   EXPECT_FALSE(consumer_ran);  // rejected before any node executed
 }
 
-TEST(ValidateTest, SchedulerValidatesOncePerBuildId) {
+TEST(ValidateTest, SchedulerValidatesOncePerEdit) {
   ExecGraph g;
   const auto in = g.add_slot("in");
   const auto out = g.add_slot("out");
@@ -291,9 +292,60 @@ TEST(ValidateTest, SchedulerValidatesOncePerBuildId) {
   options.streams = 1;
   ExecScheduler scheduler(options);
   g.slot(in) = random_matrix(2, 3, 9);
+  EXPECT_FALSE(g.validated());
   scheduler.run(g);
+  EXPECT_TRUE(g.validated());
   scheduler.run(g);
   EXPECT_EQ(runs, 2);
+}
+
+TEST(ValidateTest, SchedulerRevalidatesAGraphEditedAfterItsFirstRun) {
+  ExecGraph g;
+  const auto in = g.add_slot("in");
+  const auto out = g.add_slot("out");
+  g.mark_input(in);
+  g.mark_output(out);
+  g.add_host("copy", {in}, {out},
+             [in, out](ExecGraph& gg) { gg.slot(out) = gg.slot(in); });
+  SchedulerOptions options;
+  options.streams = 1;
+  ExecScheduler scheduler(options);
+  g.slot(in) = random_matrix(2, 3, 10);
+  scheduler.run(g);
+
+  // A node appended after the first run reads a slot nothing writes
+  // and nobody feeds: the next run must audit the grown graph and
+  // refuse it, from this scheduler and from any other.
+  const auto orphan = g.add_slot("orphan");
+  const auto extra = g.add_slot("extra");
+  bool late_ran = false;
+  g.add_host("late", {orphan}, {extra},
+             [&late_ran](ExecGraph&) { late_ran = true; });
+  EXPECT_THROW(scheduler.run(g), GraphValidationError);
+  ExecScheduler other(options);
+  EXPECT_THROW(other.run(g), GraphValidationError);
+  EXPECT_FALSE(late_ran);
+}
+
+TEST(ValidateTest, EveryGraphEditClearsTheValidatedMark) {
+  const MatrixF w = random_matrix(3, 3, 11);
+  const auto weight = make_packed("dense", w);
+  ExecGraph g;
+  const auto a = g.add_slot("a");
+  const auto b = g.add_slot("b");
+  const auto first = g.add_host("first", {}, {a}, [](ExecGraph&) {});
+  const std::vector<std::function<void()>> edits = {
+      [&] { g.mark_input(a); },
+      [&] { g.mark_output(b); },
+      [&] { g.add_gemm("gemm", weight.get(), a, b); },
+      [&] { g.add_host("host", {b}, {}, [](ExecGraph&) {}); },
+      [&] { g.add_dep(g.node_count() - 1, first); },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    g.mark_validated();
+    edits[i]();
+    EXPECT_FALSE(g.validated()) << "edit " << i;
+  }
 }
 
 TEST(ValidateTest, SchedulerValidationCanBeDisabled) {
